@@ -215,7 +215,7 @@ struct ChaosResult {
   std::uint64_t post_kill_acked = 0;
   std::uint64_t lost = 0;           ///< stored < acked for some key
   std::uint64_t double_applied = 0; ///< stored > acked + ambiguous
-  std::uint64_t degraded_ops = 0;
+  std::uint64_t degraded_writes = 0;
 };
 
 /// The kill window: incr writers ledger every ack; a third into the run the
@@ -293,7 +293,7 @@ ChaosResult run_chaos(int iters) {
     if (stored > hi) ++out.double_applied;
   }
   for (int chip : rig.servers) {
-    out.degraded_ops += rig.stores[static_cast<std::size_t>(chip)]->stats().degraded_ops;
+    out.degraded_writes += rig.kvs[static_cast<std::size_t>(chip)]->stats().degraded_writes;
   }
   return out;
 }
@@ -323,7 +323,7 @@ int main(int argc, char** argv) {
   report.config("scan_keys", static_cast<double>(scan_keys));
 
   const char* kinds[] = {"put", "incr", "cas", "append"};
-  for (const std::string shape : {std::string("ring"), std::string("torus3d")}) {
+  for (const std::string& shape : {std::string("ring"), std::string("torus3d")}) {
     const std::string topo = shape == "torus3d" ? "torus3d-2x2x2" : "ring-4";
     std::printf("\n[%s] matched load: %d workers x %d ops per kind\n",
                 topo.c_str(), kWorkers, iters);
@@ -374,13 +374,13 @@ int main(int argc, char** argv) {
 
   ChaosResult ch = run_chaos(smoke ? 150 : 400);
   std::printf("\nkill window (ring): %llu acked (%llu post-kill, %llu ambiguous), "
-              "%llu lost, %llu double-applied, degraded_ops=%llu\n",
+              "%llu lost, %llu double-applied, degraded_writes=%llu\n",
               static_cast<unsigned long long>(ch.acked),
               static_cast<unsigned long long>(ch.post_kill_acked),
               static_cast<unsigned long long>(ch.ambiguous),
               static_cast<unsigned long long>(ch.lost),
               static_cast<unsigned long long>(ch.double_applied),
-              static_cast<unsigned long long>(ch.degraded_ops));
+              static_cast<unsigned long long>(ch.degraded_writes));
   report.add_row({BenchReport::str("row", "kill_window"),
                   BenchReport::str("topology", "ring-4"),
                   BenchReport::num("acked", static_cast<double>(ch.acked)),

@@ -531,8 +531,6 @@ sim::Task<Status> BootSequencer::stage_cpu_msr_init(int sn) {
   const topology::SupernodePlan& snp =
       machine_.plan().supernodes()[static_cast<std::size_t>(sn)];
   for (int chip_idx : snp.chips) {
-    const topology::ChipPlan& cp =
-        machine_.plan().chips()[static_cast<std::size_t>(chip_idx)];
     opteron::OpteronChip& chip = machine_.chip(chip_idx);
     // Local Supernode memory is cacheable; every member maps the whole
     // Supernode range WB (coherent fabric inside).

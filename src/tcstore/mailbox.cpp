@@ -116,64 +116,33 @@ sim::Task<Result<std::vector<std::uint8_t>>> MailboxService::on_send(
 
 MailboxClient::MailboxClient(cluster::TcCluster& cluster, tcsvc::RpcNode& rpc,
                              tcsvc::ShardMap map, MailboxConfig cfg)
-    : cluster_(cluster), rpc_(rpc), map_(std::move(map)), cfg_(cfg) {}
-
-const tcsvc::ShardMap& MailboxClient::shard_map() const {
-  return membership_ != nullptr ? membership_->map() : map_;
-}
+    : cluster_(cluster),
+      route_(cluster, rpc, std::move(map), cfg.op_deadline, cfg.attempt_deadline,
+             cfg.retry_backoff, stats_) {}
 
 sim::Task<Status> MailboxClient::send(std::string_view name,
                                       std::span<const std::uint8_t> payload,
                                       std::optional<Picoseconds> deadline) {
-  sim::Engine& engine = cluster_.engine();
   ++stats_.sends;
   TCC_METRIC(detail::metrics().mailbox_sends.inc());
-  const Picoseconds abs = deadline.value_or(engine.now() + cfg_.op_deadline);
+  const Picoseconds abs = route_.deadline(deadline);
 
   auto box_it = boxes_.find(name);
   if (box_it == boxes_.end()) {
-    box_it = boxes_.emplace(std::string(name), Box(engine)).first;
+    box_it = boxes_.emplace(std::string(name), Box(cluster_.engine())).first;
   }
   Box& box = box_it->second;
   // Serialize per name: message k+1 is not even assigned a seq until k has a
   // final outcome, so concurrent app-level sends keep FIFO order.
   auto guard = co_await box.mutex->scoped();
   const std::uint64_t seq = box.next_seq++;
-  const auto frame = encode_send(name, seq, payload);
-
-  const int self = rpc_.chip();
-  const int shard = shard_map().shard_of(name);
-  auto alive = [&](int chip) {
-    return chip == self || cluster_.driver(self).peer_alive(chip);
-  };
-  bool prefer_replica = false;
-  for (;;) {
-    const tcsvc::ShardMap& m = shard_map();
-    const int p = m.primary(shard);
-    const int r = m.replica(shard);
-    int target = p;
-    if ((prefer_replica || !alive(p)) && r >= 0) {
-      target = r;
-      ++stats_.failover_routes;
-    }
-    tcsvc::CallOptions opts;
-    opts.channel = cfg_.channel;
-    opts.deadline = std::min(abs, engine.now() + cfg_.attempt_deadline);
-    auto result = co_await rpc_.call(target, kMailboxSend, frame, opts);
-    if (result.ok()) co_return Status{};
-    const ErrorCode code = result.error().code;
-    // Dead mailbox / malformed frames are final and typed; availability
-    // trouble retries the other copy with the SAME seq (the home suppresses
-    // the duplicate if the original did land).
-    if (code == ErrorCode::kNotFound || code == ErrorCode::kInvalidArgument ||
-        code == ErrorCode::kProtocolViolation) {
-      co_return result.error();
-    }
-    if (engine.now() + cfg_.retry_backoff >= abs) co_return result.error();
-    ++stats_.retries;
-    prefer_replica = (target == p);
-    co_await engine.delay(cfg_.retry_backoff);
-  }
+  // Availability trouble retries the other copy with the SAME seq (the home
+  // suppresses the duplicate if the original did land); a dead mailbox is
+  // final and typed.
+  auto r = co_await route_.call(kMailboxSend, shard_map().shard_of(name),
+                                encode_send(name, seq, payload), abs);
+  if (!r.ok()) co_return r.error();
+  co_return Status{};
 }
 
 }  // namespace tcc::tcstore

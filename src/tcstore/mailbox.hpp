@@ -49,7 +49,6 @@ struct MailboxConfig {
   /// Modeled CPU service time of one delivery (lookup + handler dispatch).
   Picoseconds deliver_compute = Picoseconds::from_ns(200.0);
   Picoseconds retry_backoff = Picoseconds::from_us(2.0);
-  std::uint8_t channel = 0;
 };
 
 struct MailboxStats {
@@ -102,15 +101,14 @@ class MailboxService {
   MailboxStats stats_;
 };
 
-struct MailboxClientStats {
+struct MailboxClientStats : tcsvc::RouteStats {
   std::uint64_t sends = 0;
-  std::uint64_t retries = 0;
-  std::uint64_t failover_routes = 0;
 };
 
 /// Sending side: resolves a name's home through the committed map per
 /// attempt, serializes sends per name (FIFO per sender->mailbox pair), and
-/// retries availability trouble against the shard's other copy.
+/// retries availability trouble against the shard's other copy — all through
+/// the tcsvc::RoutedCaller KvClient uses.
 class MailboxClient {
  public:
   MailboxClient(cluster::TcCluster& cluster, tcsvc::RpcNode& rpc,
@@ -123,9 +121,11 @@ class MailboxClient {
       std::optional<Picoseconds> deadline = std::nullopt);
 
   [[nodiscard]] const MailboxClientStats& stats() const { return stats_; }
-  [[nodiscard]] const tcsvc::ShardMap& shard_map() const;
+  [[nodiscard]] const tcsvc::ShardMap& shard_map() const {
+    return route_.shard_map();
+  }
   void set_membership(const tcsvc::MembershipAgent* membership) {
-    membership_ = membership;
+    route_.set_membership(membership);
   }
 
  private:
@@ -140,12 +140,9 @@ class MailboxClient {
   };
 
   cluster::TcCluster& cluster_;
-  tcsvc::RpcNode& rpc_;
-  tcsvc::ShardMap map_;
-  MailboxConfig cfg_;
-  const tcsvc::MembershipAgent* membership_ = nullptr;
   std::map<std::string, Box, std::less<>> boxes_;
   MailboxClientStats stats_;
+  tcsvc::RoutedCaller route_;
 };
 
 }  // namespace tcc::tcstore

@@ -36,10 +36,6 @@ struct StoreMetrics {
       telemetry::MetricsRegistry::global().gauge("tcstore.store.dedup_records");
   telemetry::Counter& replicated_ops = telemetry::MetricsRegistry::global().counter(
       "tcstore.store.replicated_ops");
-  telemetry::Counter& degraded_ops =
-      telemetry::MetricsRegistry::global().counter("tcstore.store.degraded_ops");
-  telemetry::Counter& not_primary = telemetry::MetricsRegistry::global().counter(
-      "tcstore.store.not_primary_rejects");
   telemetry::Counter& ttl_swept =
       telemetry::MetricsRegistry::global().counter("tcstore.ttl.expired_swept");
   telemetry::Counter& mailbox_sends =

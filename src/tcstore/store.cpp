@@ -287,113 +287,13 @@ void StoreService::prune_dedup(int shard, std::uint64_t client,
       static_cast<double>(dedup_records())));
 }
 
-bool StoreService::isolated() const {
-  // Degrading to a single-copy ack is only safe when the partner's failure
-  // looks isolated: a chip whose driver judges EVERY other server dead is far
-  // more likely the cut-off side of a partition (or dying itself) than the
-  // last survivor — its keepalive verdicts are worthless, and an op acked on
-  // its copy alone is stranded the moment the rest of the cluster evicts it.
-  const int self = rpc_.chip();
-  bool any_other = false;
-  for (const int s : kv_.shard_map().servers()) {
-    if (s == self) continue;
-    any_other = true;
-    if (cluster_.driver(self).peer_alive(s)) return false;
-  }
-  return any_other;
-}
-
-sim::Task<Status> StoreService::flush_pending(int shard, OpRecord& rec,
-                                              Picoseconds deadline) {
-  sim::Engine& engine = cluster_.engine();
-  const int self = rpc_.chip();
-  if (!rec.partner_frame.empty()) {
-    // Re-derive the partner each attempt: an epoch bump between the original
-    // failure and this flush retargets the frame at the current partner
-    // (which version-gates a copy it already holds).
-    const int partner = kv_.shard_map().partner_of(shard, self);
-    if (partner < 0) {
-      rec.partner_frame.clear();
-    } else if (!cluster_.driver(self).peer_alive(partner)) {
-      if (isolated()) {
-        co_return make_error(ErrorCode::kUnavailable,
-                             "refusing degraded ack: this chip looks isolated");
-      }
-      ++stats_.degraded_ops;
-      TCC_METRIC(detail::metrics().degraded_ops.inc());
-      rec.partner_frame.clear();
-    } else {
-      tcsvc::CallOptions opts;
-      opts.channel = cfg_.replication_channel;
-      opts.deadline = std::min(deadline, engine.now() + cfg_.replicate_deadline);
-      auto r = co_await rpc_.call(partner, kStoreReplicateOp, rec.partner_frame,
-                                  opts);
-      if (r.ok()) {
-        rec.partner_frame.clear();
-      } else if (!cluster_.driver(self).peer_alive(partner)) {
-        if (isolated()) {
-          co_return make_error(ErrorCode::kUnavailable,
-                               "refusing degraded ack: this chip looks isolated");
-        }
-        ++stats_.degraded_ops;
-        TCC_METRIC(detail::metrics().degraded_ops.inc());
-        rec.partner_frame.clear();
-      } else {
-        // Partner alive but the sub-call failed: refuse the ack so the
-        // client retries — the retry dedup-hits and re-runs this flush.
-        co_return make_error(ErrorCode::kUnavailable,
-                             "op replication failed: " + r.error().to_string());
-      }
-    }
-  }
-  if (!rec.forward_frame.empty()) {
-    // The dual-write goes to the targets captured when the op executed, NOT
-    // the live forward set: a COMMIT landing between the partner send above
-    // and this loop clears the live set, and re-reading it here would drop
-    // the frame — the new owner's snapshot cursor already passed this key,
-    // so the acked op would exist nowhere the new epoch serves from. If the
-    // captured target has since become the partner, the state-mode frame is
-    // version-gated at the receiver and the resend is a no-op.
-    tcsvc::MembershipAgent* membership = kv_.membership();
-    for (const int target : rec.forward_targets) {
-      if (target == self) continue;
-      if (!cluster_.driver(self).peer_alive(target)) {
-        // Skipping a dead stream target is fine (the move will be redone);
-        // skipping it because our own verdicts are garbage is not.
-        if (isolated()) {
-          co_return make_error(ErrorCode::kUnavailable,
-                               "refusing degraded ack: this chip looks isolated");
-        }
-        continue;
-      }
-      tcsvc::CallOptions opts;
-      opts.channel = cfg_.replication_channel;
-      opts.deadline = std::min(deadline, engine.now() + cfg_.replicate_deadline);
-      auto r = co_await rpc_.call(target, kStoreReplicateOp, rec.forward_frame,
-                                  opts);
-      if (!r.ok() && cluster_.driver(self).peer_alive(target)) {
-        co_return make_error(ErrorCode::kUnavailable,
-                             "op dual-write failed: " + r.error().to_string());
-      }
-      if (membership != nullptr) membership->note_dual_write();
-    }
-    rec.forward_frame.clear();
-    rec.forward_targets.clear();
-  }
-  co_return Status{};
-}
-
 sim::Task<Result<std::vector<std::uint8_t>>> StoreService::on_op(
     const tcsvc::RpcContext& ctx, std::span<const std::uint8_t> body) {
   co_await cluster_.engine().delay(cfg_.op_compute);
   OpRequest req;
   if (!decode_op(body, req)) co_return malformed("op");
   const int shard = kv_.shard_map().shard_of(req.key);
-  if (!kv_.acting_primary(shard)) {
-    ++stats_.not_primary_rejects;
-    TCC_METRIC(detail::metrics().not_primary.inc());
-    co_return make_error(ErrorCode::kFailedPrecondition, "not primary for shard");
-  }
+  if (Status s = kv_.admit(shard); !s.ok()) co_return s.error();
 
   // Serialize read-modify-write + replication per key stripe: the partner
   // re-executes logical ops, so it must observe them in the order the
@@ -410,7 +310,7 @@ sim::Task<Result<std::vector<std::uint8_t>>> StoreService::on_op(
     // retry to reach the client.
     ++stats_.dedup_hits;
     TCC_METRIC(detail::metrics().dedup_hits.inc());
-    if (Status s = co_await flush_pending(shard, it->second, ctx.deadline);
+    if (Status s = co_await kv_.replicate(shard, it->second.pending, ctx.deadline);
         !s.ok()) {
       co_return s.error();
     }
@@ -422,19 +322,10 @@ sim::Task<Result<std::vector<std::uint8_t>>> StoreService::on_op(
         std::string(it->second.resp.begin(), it->second.resp.end()));
   }
 
-  // Capture the replication fan-out before mutating state (same rule as
-  // KvService::on_put): a rebalance commit landing between the write and the
-  // sends must not let this op slip between snapshot and dual-write.
-  const int self = rpc_.chip();
-  const int partner = kv_.shard_map().partner_of(shard, self);
-  tcsvc::MembershipAgent* membership = kv_.membership();
-  std::vector<int> fwd_targets;
-  if (membership != nullptr) {
-    for (const int t : membership->forward_targets(shard)) {
-      if (t != self && t != partner) fwd_targets.push_back(t);
-    }
-  }
-  const bool has_forwards = !fwd_targets.empty();
+  // Capture the dual-write targets before mutating state (see
+  // KvService::capture_forwards).
+  tcsvc::KvService::Fanout fanout{kStoreReplicateOp, {}, {},
+                                  kv_.capture_forwards(shard)};
 
   bool expired = false;
   const auto existing = kv_.read_entry(shard, req.key, &expired);
@@ -534,49 +425,45 @@ sim::Task<Result<std::vector<std::uint8_t>>> StoreService::on_op(
     }
   }
 
-  OpRecord rec;
-  rec.code = code;
-  rec.resp = code == 0 ? resp
-                       : std::vector<std::uint8_t>(err_msg.begin(), err_msg.end());
-  if (partner >= 0) {
-    // Logical replication to the partner: the op and its operands, stamped
-    // with the assigned version and absolute expiry. Outcomes without a
-    // state change (CAS conflict, append overflow, typed errors) still
-    // travel as record-only frames so a failover retry replays them.
-    //
-    // One exception falls back to state mode: a base entry that carries an
-    // expiry. The partner re-executes strictly later than the primary, so
-    // the base the primary read live could read as expired (absent) by the
-    // time the frame lands — re-execution would start from scratch and
-    // diverge. Shipping the resulting bytes sidesteps the race (see
-    // docs/ARCHITECTURE.md "Store & mailboxes").
-    const bool base_has_ttl =
-        existing.has_value() && existing->expires_at_ps > 0;
-    const std::uint8_t mode =
-        !changed ? kModeRecordOnly : (base_has_ttl ? kModeState : kModeLogical);
-    rec.partner_frame = encode_replicate_op(
-        req.op, mode, req.key, version, expires_at_ps, req.client, req.seq,
-        req.watermark, req.arg0, code, rec.resp,
-        mode == kModeState ? std::span<const std::uint8_t>(new_value)
-                           : as_bytes(req.value));
-  }
-  if (has_forwards) {
+  OpRecord rec{code,
+               code == 0 ? resp
+                         : std::vector<std::uint8_t>(err_msg.begin(), err_msg.end()),
+               std::move(fanout)};
+  // Logical replication to the partner: the op and its operands, stamped
+  // with the assigned version and absolute expiry. Outcomes without a state
+  // change (CAS conflict, append overflow, typed errors) still travel as
+  // record-only frames so a failover retry replays them.
+  //
+  // One exception falls back to state mode: a base entry that carries an
+  // expiry. The partner re-executes strictly later than the primary, so the
+  // base the primary read live could read as expired (absent) by the time
+  // the frame lands — re-execution would start from scratch and diverge.
+  // Shipping the resulting bytes sidesteps the race (see
+  // docs/ARCHITECTURE.md "Store & mailboxes").
+  const bool base_has_ttl = existing.has_value() && existing->expires_at_ps > 0;
+  const std::uint8_t mode =
+      !changed ? kModeRecordOnly : (base_has_ttl ? kModeState : kModeLogical);
+  rec.pending.partner_frame = encode_replicate_op(
+      req.op, mode, req.key, version, expires_at_ps, req.client, req.seq,
+      req.watermark, req.arg0, code, rec.resp,
+      mode == kModeState ? std::span<const std::uint8_t>(new_value)
+                         : as_bytes(req.value));
+  if (!rec.pending.forward_targets.empty()) {
     // State dual-write to migration targets: they may not hold the base
     // value yet (behind the snapshot cursor), so re-execution could diverge
-    // — the resulting bytes travel instead, version-gated on apply. The
-    // target list rides in the record: see OpRecord::forward_targets.
-    rec.forward_frame = encode_replicate_op(
+    // — the resulting bytes travel instead, version-gated on apply.
+    rec.pending.forward_frame = encode_replicate_op(
         req.op, changed ? kModeState : kModeRecordOnly, req.key, version,
         expires_at_ps, req.client, req.seq, req.watermark, req.arg0, code,
         rec.resp, new_value);
-    rec.forward_targets = std::move(fwd_targets);
   }
   auto& stored = table[{req.client, req.seq}];
   stored = std::move(rec);
   TCC_METRIC(detail::metrics().dedup_records.set(
       static_cast<double>(dedup_records())));
 
-  if (Status s = co_await flush_pending(shard, stored, ctx.deadline); !s.ok()) {
+  if (Status s = co_await kv_.replicate(shard, stored.pending, ctx.deadline);
+      !s.ok()) {
     co_return s.error();
   }
   if (code == 0) co_return resp;
@@ -638,7 +525,7 @@ sim::Task<Result<std::vector<std::uint8_t>>> StoreService::on_replicate_op(
   // Record the outcome for post-failover duplicate replay (insert-or-update:
   // a re-sent pending frame after a flaky first push just overwrites).
   dedup_[static_cast<std::size_t>(shard)][{rep.client, rep.seq}] = OpRecord{
-      rep.code, {rep.resp.begin(), rep.resp.end()}, {}, {}, {}};
+      rep.code, {rep.resp.begin(), rep.resp.end()}, {}};
   ++stats_.replicated_ops;
   TCC_METRIC(detail::metrics().replicated_ops.inc());
   TCC_METRIC(detail::metrics().dedup_records.set(
@@ -659,11 +546,7 @@ sim::Task<Result<std::vector<std::uint8_t>>> StoreService::on_scan(
   if (!r.ok || shard < 0 || shard >= kv_.shard_map().shards()) {
     co_return malformed("scan");
   }
-  if (!kv_.acting_primary(shard)) {
-    ++stats_.not_primary_rejects;
-    TCC_METRIC(detail::metrics().not_primary.inc());
-    co_return make_error(ErrorCode::kFailedPrecondition, "not primary for shard");
-  }
+  if (Status s = kv_.admit(shard); !s.ok()) co_return s.error();
 
   // Reuse the migration export cursor: key order, bounded frame, expired
   // entries skipped. `done` once the shard is exhausted or the range ends.
@@ -743,7 +626,7 @@ void StoreService::apply_aux(int shard, std::span<const std::uint8_t> blob) {
     // Insert-if-absent: a record that also arrived via the dual-write path
     // may carry fresher pending state — never downgrade it.
     table.try_emplace({client, seq},
-                      OpRecord{code, {resp.begin(), resp.end()}, {}, {}, {}});
+                      OpRecord{code, {resp.begin(), resp.end()}, {}});
   }
   TCC_METRIC(detail::metrics().dedup_records.set(
       static_cast<double>(dedup_records())));
@@ -759,60 +642,16 @@ void StoreService::reset_aux(int shard) {
 
 StoreClient::StoreClient(cluster::TcCluster& cluster, tcsvc::RpcNode& rpc,
                          tcsvc::ShardMap map, StoreConfig cfg)
-    : cluster_(cluster), rpc_(rpc), map_(std::move(map)), cfg_(cfg) {}
-
-const tcsvc::ShardMap& StoreClient::shard_map() const {
-  return membership_ != nullptr ? membership_->map() : map_;
-}
-
-sim::Task<Result<std::vector<std::uint8_t>>> StoreClient::request(
-    std::uint16_t method, int shard, std::vector<std::uint8_t> payload,
-    Picoseconds deadline) {
-  sim::Engine& engine = cluster_.engine();
-  const int self = rpc_.chip();
-  auto alive = [&](int chip) {
-    return chip == self || cluster_.driver(self).peer_alive(chip);
-  };
-
-  bool prefer_replica = false;
-  for (;;) {
-    // Placement is re-resolved per attempt — same contract as KvClient.
-    const tcsvc::ShardMap& m = shard_map();
-    const int p = m.primary(shard);
-    const int r = m.replica(shard);
-    int target = p;
-    if ((prefer_replica || !alive(p)) && r >= 0) {
-      target = r;
-      ++stats_.failover_routes;
-    }
-    tcsvc::CallOptions opts;
-    opts.channel = cfg_.client_channel;
-    opts.deadline = std::min(deadline, engine.now() + cfg_.attempt_deadline);
-    auto result = co_await rpc_.call(target, method, payload, opts);
-    if (result.ok()) co_return result;
-    const ErrorCode code = result.error().code;
-    // Semantic outcomes are final (kResourceExhausted = append past cap);
-    // transport/availability trouble retries against the other copy. The op
-    // keeps its (client, seq) identity across attempts, so a retry of an op
-    // the primary already executed replays instead of re-executing.
-    if (code == ErrorCode::kNotFound || code == ErrorCode::kInvalidArgument ||
-        code == ErrorCode::kResourceExhausted) {
-      co_return result;
-    }
-    if (engine.now() + cfg_.retry_backoff >= deadline) co_return result;
-    ++stats_.retries;
-    prefer_replica = (target == p);  // alternate copies across attempts
-    co_await engine.delay(cfg_.retry_backoff);
-  }
-}
+    : cfg_(cfg),
+      route_(cluster, rpc, std::move(map), cfg.op_deadline, cfg.attempt_deadline,
+             cfg.retry_backoff, stats_) {}
 
 sim::Task<Result<std::vector<std::uint8_t>>> StoreClient::run_op(
     StoreOp op, std::string_view key, std::int64_t arg0,
     std::span<const std::uint8_t> value, Picoseconds ttl,
     std::optional<Picoseconds> deadline) {
   ++stats_.ops;
-  const Picoseconds abs =
-      deadline.value_or(cluster_.engine().now() + cfg_.op_deadline);
+  const Picoseconds abs = route_.deadline(deadline);
   // One identity per op, assigned once and reused across every retry. The
   // watermark is the lowest seq still without a final outcome (including
   // this one): the primary may forget every record below it, because the
@@ -820,8 +659,8 @@ sim::Task<Result<std::vector<std::uint8_t>>> StoreClient::run_op(
   const std::uint64_t seq = next_seq_++;
   outstanding_.insert(seq);
   const std::uint64_t watermark = *outstanding_.begin();
-  const auto client = static_cast<std::uint64_t>(rpc_.chip());
-  auto result = co_await request(
+  const auto client = static_cast<std::uint64_t>(route_.chip());
+  auto result = co_await route_.call(
       kStoreOp, shard_map().shard_of(key),
       encode_op(op, key, client, seq, watermark, ttl.count(), arg0, value), abs);
   outstanding_.erase(seq);
@@ -889,8 +728,7 @@ sim::Task<Result<std::uint64_t>> StoreClient::set(
 sim::Task<Result<std::vector<ScanEntry>>> StoreClient::scan_shard(
     int shard, std::string_view start_key, std::string_view end_key,
     std::optional<Picoseconds> deadline) {
-  const Picoseconds abs =
-      deadline.value_or(cluster_.engine().now() + cfg_.op_deadline);
+  const Picoseconds abs = route_.deadline(deadline);
   std::vector<ScanEntry> out;
   std::string cursor(start_key);
   for (;;) {
@@ -901,7 +739,7 @@ sim::Task<Result<std::vector<ScanEntry>>> StoreClient::scan_shard(
     put_u16(payload, static_cast<std::uint16_t>(end_key.size()));
     put_bytes(payload, as_bytes(cursor));
     put_bytes(payload, as_bytes(end_key));
-    auto r = co_await request(kStoreScan, shard, std::move(payload), abs);
+    auto r = co_await route_.call(kStoreScan, shard, std::move(payload), abs);
     if (!r.ok()) co_return r.error();
 
     Reader reader{r.value()};

@@ -79,16 +79,12 @@ struct StoreConfig {
   Picoseconds op_deadline = Picoseconds::from_us(500.0);
   /// Budget of a single attempt within an operation (see KvConfig).
   Picoseconds attempt_deadline = Picoseconds::from_us(60.0);
-  /// Replication sub-call budget.
-  Picoseconds replicate_deadline = Picoseconds::from_us(100.0);
   /// Modeled CPU service time of one RMW op (read + modify + write).
   Picoseconds op_compute = Picoseconds::from_ns(350.0);
   /// Backoff between client retry attempts.
   Picoseconds retry_backoff = Picoseconds::from_us(2.0);
   /// Period of the lazy-TTL backstop sweep (runs until RpcNode::stop()).
   Picoseconds sweep_period = Picoseconds::from_us(50.0);
-  std::uint8_t client_channel = 0;
-  std::uint8_t replication_channel = 1;
   /// Largest value an append may grow to (kResourceExhausted past it).
   std::uint32_t append_cap = 4096;
   /// Key-level mutex stripes per shard: ops on the same stripe serialize
@@ -99,6 +95,8 @@ struct StoreConfig {
   std::uint32_t scan_frame_bytes = 1024;
 };
 
+/// Store-op counters. Admission rejects, failover serves and degraded acks
+/// are counted by the wrapped KvService (KvStats).
 struct StoreStats {
   std::uint64_t incrs = 0;
   std::uint64_t cas_ops = 0;        ///< CAS executed (success or conflict)
@@ -110,8 +108,6 @@ struct StoreStats {
   std::uint64_t dedup_hits = 0;     ///< duplicate ops answered by replay
   std::uint64_t dedup_pruned = 0;   ///< records dropped by watermark pruning
   std::uint64_t replicated_ops = 0; ///< op frames applied as partner/forward
-  std::uint64_t degraded_ops = 0;   ///< acked with the partner judged dead
-  std::uint64_t not_primary_rejects = 0;
   std::uint64_t swept = 0;          ///< entries erased by the periodic sweep
 };
 
@@ -144,19 +140,15 @@ class StoreService : public tcsvc::ShardAuxStreamer {
 
  private:
   /// Outcome of one executed op, kept for duplicate replay. A record whose
-  /// replication could not be pushed (partner alive but the sub-call failed)
-  /// keeps the pending frames; the duplicate that triggers the replay
-  /// re-sends them first, so "acked" still implies "on every live copy".
+  /// replication could not be pushed (a live copy missed it) keeps the
+  /// pending frames and the dual-write targets captured when the op
+  /// executed; the duplicate that triggers the replay re-sends them first,
+  /// so "acked" still implies "on every live copy".
   struct OpRecord {
     std::uint32_t code = 0;  ///< 0 = ok, else ErrorCode + 1
     std::vector<std::uint8_t> resp;
-    std::vector<std::uint8_t> partner_frame;  ///< pending logical replicate
-    std::vector<std::uint8_t> forward_frame;  ///< pending state dual-write
-    /// Dual-write targets captured when the op executed. The flush must not
-    /// re-read the live forward set: a rebalance COMMIT landing between the
-    /// partner send and the dual-write send clears it, and the op would slip
-    /// between the snapshot cursor and the (never-sent) forward.
-    std::vector<int> forward_targets;
+    /// Pending logical replicate (partner) and state dual-write (forwards).
+    tcsvc::KvService::Fanout pending;
   };
 
   [[nodiscard]] sim::Task<Result<std::vector<std::uint8_t>>> on_op(
@@ -165,16 +157,6 @@ class StoreService : public tcsvc::ShardAuxStreamer {
       const tcsvc::RpcContext& ctx, std::span<const std::uint8_t> body);
   [[nodiscard]] sim::Task<Result<std::vector<std::uint8_t>>> on_scan(
       const tcsvc::RpcContext& ctx, std::span<const std::uint8_t> body);
-
-  /// True when this chip judges every other server dead — i.e. its own
-  /// keepalive verdicts are untrustworthy and a degraded (single-copy) ack
-  /// would strand the op on a chip the rest of the cluster is about to evict.
-  [[nodiscard]] bool isolated() const;
-
-  /// Push a pending record's frames to the current partner/forward targets;
-  /// empty status once nothing is pending anymore.
-  [[nodiscard]] sim::Task<Status> flush_pending(int shard, OpRecord& rec,
-                                                Picoseconds deadline);
 
   [[nodiscard]] sim::Mutex& stripe_lock(int shard, std::string_view key);
   void prune_dedup(int shard, std::uint64_t client, std::uint64_t watermark);
@@ -190,10 +172,8 @@ class StoreService : public tcsvc::ShardAuxStreamer {
   StoreStats stats_;
 };
 
-struct StoreClientStats {
+struct StoreClientStats : tcsvc::RouteStats {
   std::uint64_t ops = 0;
-  std::uint64_t retries = 0;
-  std::uint64_t failover_routes = 0;
 };
 
 /// One scanned entry.
@@ -206,7 +186,7 @@ struct ScanEntry {
 /// Routing client for store ops: assigns each op a (client, seq) identity
 /// once (reused across every retry, so the primary can dedup), tracks the
 /// lowest outstanding seq as the pruning watermark, and routes/fails over
-/// like KvClient.
+/// through the same tcsvc::RoutedCaller as KvClient.
 class StoreClient {
  public:
   StoreClient(cluster::TcCluster& cluster, tcsvc::RpcNode& rpc,
@@ -264,9 +244,11 @@ class StoreClient {
       std::optional<Picoseconds> deadline = std::nullopt);
 
   [[nodiscard]] const StoreClientStats& stats() const { return stats_; }
-  [[nodiscard]] const tcsvc::ShardMap& shard_map() const;
+  [[nodiscard]] const tcsvc::ShardMap& shard_map() const {
+    return route_.shard_map();
+  }
   void set_membership(const tcsvc::MembershipAgent* membership) {
-    membership_ = membership;
+    route_.set_membership(membership);
   }
 
  private:
@@ -274,18 +256,12 @@ class StoreClient {
       StoreOp op, std::string_view key, std::int64_t arg0,
       std::span<const std::uint8_t> value, Picoseconds ttl,
       std::optional<Picoseconds> deadline);
-  [[nodiscard]] sim::Task<Result<std::vector<std::uint8_t>>> request(
-      std::uint16_t method, int shard, std::vector<std::uint8_t> payload,
-      Picoseconds deadline);
 
-  cluster::TcCluster& cluster_;
-  tcsvc::RpcNode& rpc_;
-  tcsvc::ShardMap map_;
   StoreConfig cfg_;
-  const tcsvc::MembershipAgent* membership_ = nullptr;
   std::uint64_t next_seq_ = 1;
   std::set<std::uint64_t> outstanding_;  ///< seqs without a final outcome
   StoreClientStats stats_;
+  tcsvc::RoutedCaller route_;
 };
 
 }  // namespace tcc::tcstore

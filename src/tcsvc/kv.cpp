@@ -223,6 +223,113 @@ bool KvService::acting_primary(int shard) const {
   return m.replica(shard) == self && !cluster_.driver(self).peer_alive(p);
 }
 
+Status KvService::admit(int shard) {
+  if (!acting_primary(shard)) {
+    ++stats_.not_primary_rejects;
+    TCC_METRIC(detail::metrics().kv_not_primary.inc());
+    return make_error(ErrorCode::kFailedPrecondition, "not primary for shard");
+  }
+  if (shard_map().primary(shard) != rpc_.chip()) {
+    ++stats_.failover_serves;
+    TCC_METRIC(detail::metrics().kv_failover_serves.inc());
+  }
+  return Status{};
+}
+
+bool KvService::isolated() const {
+  const int self = rpc_.chip();
+  bool any_other = false;
+  for (const int s : shard_map().servers()) {
+    if (s == self) continue;
+    any_other = true;
+    if (cluster_.driver(self).peer_alive(s)) return false;
+  }
+  return any_other;
+}
+
+std::vector<int> KvService::capture_forwards(int shard) const {
+  std::vector<int> out;
+  if (membership_ == nullptr) return out;
+  const int self = rpc_.chip();
+  const int partner = shard_map().partner_of(shard, self);
+  for (const int t : membership_->forward_targets(shard)) {
+    if (t != self && t != partner) out.push_back(t);
+  }
+  return out;
+}
+
+sim::Task<Status> KvService::replicate(int shard, Fanout& fanout,
+                                       Picoseconds deadline) {
+  const int self = rpc_.chip();
+  const cluster::TcDriver& driver = cluster_.driver(self);
+  auto send = [&](int target, const std::vector<std::uint8_t>& frame) {
+    CallOptions opts;
+    opts.channel = kReplicationChannel;
+    opts.deadline =
+        std::min(deadline, cluster_.engine().now() + cfg_.replicate_deadline);
+    return rpc_.call(target, fanout.method, frame, opts);
+  };
+  auto refuse_isolated = [] {
+    return make_error(ErrorCode::kUnavailable,
+                      "refusing degraded ack: this chip looks isolated");
+  };
+
+  if (!fanout.partner_frame.empty()) {
+    // Synchronous replication: ack only once the partner applied the write,
+    // or is judged dead — then the surviving copy IS the store (a counted
+    // degraded ack, open until a rebalance re-seeds the lost copy).
+    const int partner = shard_map().partner_of(shard, self);
+    bool degraded = partner >= 0 && !driver.peer_alive(partner);
+    if (partner >= 0 && !degraded) {
+      auto r = co_await send(partner, fanout.partner_frame);
+      if (r.ok()) {
+        ++stats_.replications_out;
+      } else if (driver.peer_alive(partner)) {
+        // Partner alive but the sub-call failed (e.g. its deadline expired
+        // under load): refuse the ack so the client retries.
+        co_return make_error(ErrorCode::kUnavailable,
+                             "replication failed: " + r.error().to_string());
+      } else {
+        degraded = true;  // the partner died mid-replication
+      }
+    }
+    if (degraded) {
+      if (isolated()) co_return refuse_isolated();
+      ++stats_.degraded_writes;
+      ++stats_.degraded_open;
+      TCC_METRIC(detail::metrics().kv_degraded_writes.inc());
+      TCC_METRIC(detail::metrics().kv_degraded_open.add(1.0));
+    }
+    fanout.partner_frame.clear();
+  }
+
+  if (!fanout.forward_frame.empty()) {
+    // Dual-write during migration: while this node is a rebalance stream
+    // source, the ack also requires the write on every future owner — the
+    // snapshot stream only covers keys behind its cursor. Version gating
+    // dedupes writes that travel both paths, and a captured target that has
+    // since become the partner.
+    for (const int target : fanout.forward_targets) {
+      if (!driver.peer_alive(target)) {
+        // Skipping a dead stream target is fine (the move will be redone);
+        // skipping it because our own verdicts are garbage is not.
+        if (isolated()) co_return refuse_isolated();
+        continue;
+      }
+      auto r = co_await send(target, fanout.forward_frame);
+      if (!r.ok() && driver.peer_alive(target)) {
+        co_return make_error(ErrorCode::kUnavailable,
+                             "dual-write failed: " + r.error().to_string());
+      }
+      if (membership_ != nullptr) membership_->note_dual_write();
+      TCC_METRIC(detail::metrics().rebalance_dual_writes.inc());
+    }
+    fanout.forward_frame.clear();
+    fanout.forward_targets.clear();
+  }
+  co_return Status{};
+}
+
 std::vector<KvService::ExportedEntry> KvService::export_shard(
     int shard, std::string_view after_key, std::uint32_t max_bytes) const {
   std::vector<ExportedEntry> out;
@@ -364,15 +471,7 @@ sim::Task<Result<std::vector<std::uint8_t>>> KvService::on_get(
   const std::string_view key(reinterpret_cast<const char*>(body.data()),
                              body.size());
   const int shard = shard_map().shard_of(key);
-  if (!acting_primary(shard)) {
-    ++stats_.not_primary_rejects;
-    TCC_METRIC(detail::metrics().kv_not_primary.inc());
-    co_return make_error(ErrorCode::kFailedPrecondition, "not primary for shard");
-  }
-  if (shard_map().primary(shard) != rpc_.chip()) {
-    ++stats_.failover_serves;
-    TCC_METRIC(detail::metrics().kv_failover_serves.inc());
-  }
+  if (Status s = admit(shard); !s.ok()) co_return s.error();
   ++stats_.gets;
   TCC_METRIC(detail::metrics().kv_gets.inc());
   bool expired = false;
@@ -397,87 +496,17 @@ sim::Task<Result<std::vector<std::uint8_t>>> KvService::on_put(
     co_return make_error(ErrorCode::kInvalidArgument, "malformed put");
   }
   const int shard = shard_map().shard_of(key);
-  if (!acting_primary(shard)) {
-    ++stats_.not_primary_rejects;
-    TCC_METRIC(detail::metrics().kv_not_primary.inc());
-    co_return make_error(ErrorCode::kFailedPrecondition, "not primary for shard");
-  }
-  const int self = rpc_.chip();
-  if (shard_map().primary(shard) != self) {
-    ++stats_.failover_serves;
-    TCC_METRIC(detail::metrics().kv_failover_serves.inc());
-  }
-  // Capture the replication fan-out NOW, before any suspension point: a
-  // rebalance commit landing mid-handler must not let this write slip
-  // between the snapshot stream (which ended before commit) and the
-  // dual-write (which we are about to perform from this captured list).
-  const int partner = shard_map().partner_of(shard, self);
-  const std::vector<int> forwards =
-      membership_ != nullptr ? membership_->forward_targets(shard)
-                             : std::vector<int>{};
-
-  const std::uint64_t version = ++next_version_[static_cast<std::size_t>(shard)];
-  store_[static_cast<std::size_t>(shard)][std::string(key)] =
-      Entry{version, {value.begin(), value.end()}};
+  if (Status s = admit(shard); !s.ok()) co_return s.error();
+  Fanout fanout{kKvReplicate, {}, {}, capture_forwards(shard)};
+  const std::uint64_t version = write_entry(shard, key, value, 0);
   ++stats_.puts;
   TCC_METRIC(detail::metrics().kv_puts.inc());
 
-  // Synchronous replication: ack the client only once the partner applied
-  // the write — or is already judged dead, in which case the single
-  // surviving copy IS the store (counted as a degraded ack).
-  if (partner >= 0) {
-    if (cluster_.driver(self).peer_alive(partner)) {
-      const Picoseconds repl_deadline =
-          std::min(ctx.deadline,
-                   cluster_.engine().now() + cfg_.replicate_deadline);
-      CallOptions opts;
-      opts.channel = cfg_.replication_channel;
-      opts.deadline = repl_deadline;
-      auto r = co_await rpc_.call(partner, kKvReplicate,
-                                  encode_replicate(key, version, value), opts);
-      if (r.ok()) {
-        ++stats_.replications_out;
-      } else if (!cluster_.driver(self).peer_alive(partner)) {
-        // The partner died mid-replication; the keepalive verdict arrived
-        // first. Ack on the surviving copy.
-        ++stats_.degraded_writes;
-        ++stats_.degraded_open;
-        TCC_METRIC(detail::metrics().kv_degraded_writes.inc());
-        TCC_METRIC(detail::metrics().kv_degraded_open.add(1.0));
-      } else {
-        // Partner alive but the sub-call failed (e.g. its deadline expired
-        // under load): refuse the ack so the client retries — an acked
-        // write must exist on both live copies.
-        co_return make_error(ErrorCode::kUnavailable,
-                             "replication failed: " + r.error().to_string());
-      }
-    } else {
-      ++stats_.degraded_writes;
-      ++stats_.degraded_open;
-      TCC_METRIC(detail::metrics().kv_degraded_writes.inc());
-      TCC_METRIC(detail::metrics().kv_degraded_open.add(1.0));
-    }
-  }
-
-  // Dual-write during migration: while this node is a rebalance stream
-  // source, the ack additionally requires the write on every future owner —
-  // the snapshot stream only covers keys behind its cursor. Version gating
-  // dedupes entries that travel both paths.
-  for (const int target : forwards) {
-    if (target == self || target == partner) continue;
-    if (!cluster_.driver(self).peer_alive(target)) continue;  // mid-rebalance death
-    CallOptions opts;
-    opts.channel = cfg_.replication_channel;
-    opts.deadline = std::min(ctx.deadline,
-                             cluster_.engine().now() + cfg_.replicate_deadline);
-    auto r = co_await rpc_.call(target, kKvReplicate,
-                                encode_replicate(key, version, value), opts);
-    if (!r.ok() && cluster_.driver(self).peer_alive(target)) {
-      co_return make_error(ErrorCode::kUnavailable,
-                           "dual-write failed: " + r.error().to_string());
-    }
-    membership_->note_dual_write();
-    TCC_METRIC(detail::metrics().rebalance_dual_writes.inc());
+  // Partner and migration targets apply the same version-gated frame.
+  fanout.partner_frame = encode_replicate(key, version, value);
+  if (!fanout.forward_targets.empty()) fanout.forward_frame = fanout.partner_frame;
+  if (Status s = co_await replicate(shard, fanout, ctx.deadline); !s.ok()) {
+    co_return s.error();
   }
   co_return encode_version(version);
 }
@@ -500,17 +529,28 @@ sim::Task<Result<std::vector<std::uint8_t>>> KvService::on_replicate(
   co_return std::vector<std::uint8_t>{};
 }
 
-// -------------------------------------------------------------- KvClient --
+// ---------------------------------------------------------- RoutedCaller --
 
-KvClient::KvClient(cluster::TcCluster& cluster, RpcNode& rpc, ShardMap map,
-                   KvConfig cfg)
-    : cluster_(cluster), rpc_(rpc), map_(std::move(map)), cfg_(cfg) {}
+RoutedCaller::RoutedCaller(cluster::TcCluster& cluster, RpcNode& rpc, ShardMap map,
+                           Picoseconds op_deadline, Picoseconds attempt_deadline,
+                           Picoseconds retry_backoff, RouteStats& stats)
+    : cluster_(cluster),
+      rpc_(rpc),
+      map_(std::move(map)),
+      op_deadline_(op_deadline),
+      attempt_deadline_(attempt_deadline),
+      retry_backoff_(retry_backoff),
+      stats_(stats) {}
 
-const ShardMap& KvClient::shard_map() const {
+const ShardMap& RoutedCaller::shard_map() const {
   return membership_ != nullptr ? membership_->map() : map_;
 }
 
-sim::Task<Result<std::vector<std::uint8_t>>> KvClient::request(
+Picoseconds RoutedCaller::deadline(std::optional<Picoseconds> deadline) const {
+  return deadline.value_or(cluster_.engine().now() + op_deadline_);
+}
+
+sim::Task<Result<std::vector<std::uint8_t>>> RoutedCaller::call(
     std::uint16_t method, int shard, std::vector<std::uint8_t> payload,
     Picoseconds deadline) {
   sim::Engine& engine = cluster_.engine();
@@ -533,41 +573,49 @@ sim::Task<Result<std::vector<std::uint8_t>>> KvClient::request(
       ++stats_.failover_routes;
     }
     CallOptions opts;
-    opts.channel = cfg_.client_channel;
-    opts.deadline = std::min(deadline, engine.now() + cfg_.attempt_deadline);
+    opts.channel = kClientChannel;
+    opts.deadline = std::min(deadline, engine.now() + attempt_deadline_);
     auto result = co_await rpc_.call(target, method, payload, opts);
     if (result.ok()) co_return result;
-    const ErrorCode code = result.error().code;
-    // Semantic outcomes are final; transport/availability trouble retries
-    // against the shard's other copy until the deadline runs out.
-    if (code == ErrorCode::kNotFound || code == ErrorCode::kInvalidArgument) {
-      co_return result;
+    switch (result.error().code) {
+      case ErrorCode::kNotFound:
+      case ErrorCode::kInvalidArgument:
+      case ErrorCode::kResourceExhausted:
+      case ErrorCode::kProtocolViolation:
+        co_return result;  // semantic outcomes: a retry would get the same
+      default:
+        break;
     }
-    if (engine.now() + cfg_.retry_backoff >= deadline) co_return result;
+    if (engine.now() + retry_backoff_ >= deadline) co_return result;
     ++stats_.retries;
     prefer_replica = (target == p);  // alternate copies across attempts
-    co_await engine.delay(cfg_.retry_backoff);
+    co_await engine.delay(retry_backoff_);
   }
 }
+
+// -------------------------------------------------------------- KvClient --
+
+KvClient::KvClient(cluster::TcCluster& cluster, RpcNode& rpc, ShardMap map,
+                   KvConfig cfg)
+    : route_(cluster, rpc, std::move(map), cfg.op_deadline, cfg.attempt_deadline,
+             cfg.retry_backoff, stats_) {}
 
 sim::Task<Result<std::vector<std::uint8_t>>> KvClient::get(
     std::string_view key, std::optional<Picoseconds> deadline) {
   ++stats_.gets;
-  const Picoseconds abs =
-      deadline.value_or(cluster_.engine().now() + cfg_.op_deadline);
+  const Picoseconds abs = route_.deadline(deadline);
   std::vector<std::uint8_t> payload(key.begin(), key.end());
-  co_return co_await request(kKvGet, shard_map().shard_of(key),
-                             std::move(payload), abs);
+  co_return co_await route_.call(kKvGet, shard_map().shard_of(key),
+                                 std::move(payload), abs);
 }
 
 sim::Task<Result<std::uint64_t>> KvClient::put(
     std::string_view key, std::span<const std::uint8_t> value,
     std::optional<Picoseconds> deadline) {
   ++stats_.puts;
-  const Picoseconds abs =
-      deadline.value_or(cluster_.engine().now() + cfg_.op_deadline);
-  auto result = co_await request(kKvPut, shard_map().shard_of(key),
-                                 encode_put(key, value), abs);
+  const Picoseconds abs = route_.deadline(deadline);
+  auto result = co_await route_.call(kKvPut, shard_map().shard_of(key),
+                                     encode_put(key, value), abs);
   if (!result.ok()) co_return result.error();
   if (result.value().size() != 8) {
     co_return make_error(ErrorCode::kProtocolViolation, "bad put response");

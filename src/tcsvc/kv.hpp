@@ -15,8 +15,9 @@
 //  * a put applies on the primary, then replicates synchronously to the
 //    replica over a dedicated RPC channel; the client is acked only once
 //    both copies exist (or the replica is already judged dead — a counted
-//    "degraded" ack). No acknowledged write is lost when either single
-//    node dies.
+//    "degraded" ack, refused when this chip judges every other server dead).
+//    No acknowledged write is lost when either single node dies. tcstore's
+//    ops go through the same replication step (KvService::replicate).
 //  * failover is epoch-aware by construction: the TcDriver keepalive
 //    verdict that declares the primary dead is the same edge that bumps
 //    the tcrel membership epoch, so a promoted replica starts serving in
@@ -100,6 +101,59 @@ class ShardMap {
   std::vector<int> replica_;
 };
 
+/// Counters of a routed client's retry loop.
+struct RouteStats {
+  std::uint64_t retries = 0;
+  std::uint64_t failover_routes = 0;  ///< attempts routed to the replica
+};
+
+/// The route/retry/failover loop every serving-tier client shares (KvClient,
+/// tcstore's StoreClient and MailboxClient). Each attempt re-resolves the
+/// shard's placement — the membership agent's map once one is attached, so a
+/// cutover that lands between attempts reroutes the very next one — and
+/// targets the acting primary: the configured primary, or the replica while
+/// the primary is judged dead or the previous attempt went to the primary.
+class RoutedCaller {
+ public:
+  RoutedCaller(cluster::TcCluster& cluster, RpcNode& rpc, ShardMap map,
+               Picoseconds op_deadline, Picoseconds attempt_deadline,
+               Picoseconds retry_backoff, RouteStats& stats);
+
+  // Holds a reference into its owner (the client's stats): a copy would
+  // count into the original's.
+  RoutedCaller(const RoutedCaller&) = delete;
+  RoutedCaller& operator=(const RoutedCaller&) = delete;
+
+  /// The absolute deadline of an operation: `deadline`, or the default
+  /// operation budget from now.
+  [[nodiscard]] Picoseconds deadline(std::optional<Picoseconds> deadline) const;
+
+  /// Call `method` on `shard`'s acting primary. Semantic outcomes
+  /// (kNotFound, kInvalidArgument, kResourceExhausted, kProtocolViolation)
+  /// are final; any other failure retries against the shard's other copy
+  /// after `retry_backoff`, while the next attempt can start before
+  /// `deadline`. A payload carrying an op identity keeps it across attempts.
+  [[nodiscard]] sim::Task<Result<std::vector<std::uint8_t>>> call(
+      std::uint16_t method, int shard, std::vector<std::uint8_t> payload,
+      Picoseconds deadline);
+
+  [[nodiscard]] int chip() const { return rpc_.chip(); }
+  [[nodiscard]] const ShardMap& shard_map() const;
+  void set_membership(const MembershipAgent* membership) {
+    membership_ = membership;
+  }
+
+ private:
+  cluster::TcCluster& cluster_;
+  RpcNode& rpc_;
+  ShardMap map_;
+  const MembershipAgent* membership_ = nullptr;
+  Picoseconds op_deadline_;
+  Picoseconds attempt_deadline_;
+  Picoseconds retry_backoff_;
+  RouteStats& stats_;
+};
+
 /// Shared client/server tuning.
 struct KvConfig {
   int shards = 16;
@@ -110,7 +164,8 @@ struct KvConfig {
   /// node that died mid-request times out after this and the retry loop
   /// reroutes, instead of one dead target eating the whole op budget.
   Picoseconds attempt_deadline = Picoseconds::from_us(60.0);
-  /// Replication sub-call budget (must leave room for a client retry).
+  /// Replication sub-call budget of puts and tcstore ops (must leave room
+  /// for a client retry).
   Picoseconds replicate_deadline = Picoseconds::from_us(100.0);
   /// Modeled CPU service time per op (hash + lookup / store).
   Picoseconds get_compute = Picoseconds::from_ns(150.0);
@@ -118,19 +173,16 @@ struct KvConfig {
   /// Backoff between client retry attempts (lets a keepalive verdict or an
   /// epoch sync land instead of hammering a dying node).
   Picoseconds retry_backoff = Picoseconds::from_us(2.0);
-  /// Logical RPC channels: client traffic and replication share each peer
-  /// pair without interleaving their correlation spaces.
-  std::uint8_t client_channel = 0;
-  std::uint8_t replication_channel = 1;
 };
 
-/// Server-side counters.
+/// Server-side counters. Admission, replication and degraded-ack counters
+/// cover tcstore's ops as well as gets and puts.
 struct KvStats {
   std::uint64_t gets = 0;
   std::uint64_t puts = 0;
   std::uint64_t misses = 0;
-  std::uint64_t replications_out = 0;  ///< replicate calls issued as primary
-  std::uint64_t replications_in = 0;   ///< replicate frames applied as replica
+  std::uint64_t replications_out = 0;  ///< partner replicate calls issued as primary
+  std::uint64_t replications_in = 0;   ///< kKvReplicate frames applied as replica
   std::uint64_t not_primary_rejects = 0;
   std::uint64_t degraded_writes = 0;   ///< acked with the partner judged dead (cumulative)
   std::uint64_t degraded_open = 0;     ///< degraded acks not yet re-replicated; cleared
@@ -194,10 +246,6 @@ class KvService {
   void clear_degraded_if_restored();
 
   // ---- store-layer hooks (src/tcstore) ------------------------------------
-  /// The attached membership agent, nullptr before attach_service — layered
-  /// services (tcstore) read dual-write targets through it.
-  [[nodiscard]] MembershipAgent* membership() const { return membership_; }
-
   /// One expiry-aware read. A key past its expiry reads as absent and is
   /// lazily erased (the periodic sweep handles keys nobody reads); whether a
   /// copy has physically erased an expired entry is unobservable, because
@@ -219,6 +267,35 @@ class KvService {
   /// holds; returns the number erased (the periodic TTL sweep).
   std::uint64_t sweep_expired();
 
+  /// Admit a client op on `shard`: the typed kFailedPrecondition reject
+  /// (counted) unless this node is the shard's acting primary; counts a
+  /// failover serve when it acts for a dead primary.
+  [[nodiscard]] Status admit(int shard);
+
+  /// The replication of one acting-primary write. The caller encodes the
+  /// frames in its own protocol; replicate() decides where they go and
+  /// whether the write may be acked.
+  struct Fanout {
+    std::uint16_t method = 0;  ///< kKvReplicate or tcstore's kStoreReplicateOp
+    std::vector<std::uint8_t> partner_frame;  ///< empty once delivered
+    std::vector<std::uint8_t> forward_frame;  ///< empty once delivered
+    std::vector<int> forward_targets;         ///< from capture_forwards()
+  };
+  /// The shard's dual-write targets right now, minus this chip and its
+  /// partner. Capture them before the write mutates state, never at send
+  /// time: a rebalance COMMIT landing mid-replication clears the live set,
+  /// and the write would slip between the snapshot stream (whose cursor
+  /// already passed the key) and the never-sent forward.
+  [[nodiscard]] std::vector<int> capture_forwards(int shard) const;
+  /// Push `fanout`'s pending frames: the partner frame to the shard's
+  /// partner (re-derived per call, so a retry after an epoch bump reaches
+  /// the current one), the forward frame to the captured targets. Ok once
+  /// nothing is pending. kUnavailable when a live copy missed the write, so
+  /// the client retries; a partner judged dead degrades the ack (counted)
+  /// unless this chip looks isolated.
+  [[nodiscard]] sim::Task<Status> replicate(int shard, Fanout& fanout,
+                                            Picoseconds deadline);
+
   // ---- introspection (tests, diag) ---------------------------------------
   [[nodiscard]] std::uint64_t entries() const;
   /// Local lookup without RPC or timing — test oracle for replication.
@@ -237,6 +314,11 @@ class KvService {
   };
 
   [[nodiscard]] bool entry_expired(const Entry& e) const;
+  /// True when this chip judges every other server dead — its keepalive
+  /// verdicts are then worthless (it is far more likely the cut-off side of
+  /// a partition than the last survivor), and a single-copy ack would be
+  /// stranded the moment the rest of the cluster evicts it.
+  [[nodiscard]] bool isolated() const;
 
   [[nodiscard]] sim::Task<Result<std::vector<std::uint8_t>>> on_get(
       const RpcContext& ctx, std::span<const std::uint8_t> body);
@@ -259,16 +341,13 @@ class KvService {
 };
 
 /// Client-side counters.
-struct KvClientStats {
+struct KvClientStats : RouteStats {
   std::uint64_t gets = 0;
   std::uint64_t puts = 0;
-  std::uint64_t retries = 0;
-  std::uint64_t failover_routes = 0;  ///< requests routed to the replica
 };
 
-/// Routing client: hashes keys to shards, targets the acting primary, and
-/// fails over to the replica on a dead-peer verdict or a failed attempt —
-/// retrying within the operation deadline.
+/// Routing client: hashes keys to shards and sends each op through a
+/// RoutedCaller.
 class KvClient {
  public:
   KvClient(cluster::TcCluster& cluster, RpcNode& rpc, ShardMap map,
@@ -284,26 +363,16 @@ class KvClient {
   [[nodiscard]] const KvClientStats& stats() const { return stats_; }
   /// The placement this client routes by (the membership agent's map when
   /// attached — see KvService::shard_map()).
-  [[nodiscard]] const ShardMap& shard_map() const;
+  [[nodiscard]] const ShardMap& shard_map() const { return route_.shard_map(); }
 
-  /// Attach a membership agent: routing follows committed epochs, and the
-  /// retry loop re-resolves placement per attempt so a cutover that lands
-  /// between attempts reroutes the very next one.
+  /// Attach a membership agent: routing follows committed epochs.
   void set_membership(const MembershipAgent* membership) {
-    membership_ = membership;
+    route_.set_membership(membership);
   }
 
  private:
-  [[nodiscard]] sim::Task<Result<std::vector<std::uint8_t>>> request(
-      std::uint16_t method, int shard, std::vector<std::uint8_t> payload,
-      Picoseconds deadline);
-
-  cluster::TcCluster& cluster_;
-  RpcNode& rpc_;
-  ShardMap map_;
-  KvConfig cfg_;
-  const MembershipAgent* membership_ = nullptr;
   KvClientStats stats_;
+  RoutedCaller route_;
 };
 
 }  // namespace tcc::tcsvc

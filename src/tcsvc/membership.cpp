@@ -278,7 +278,7 @@ sim::Task<Result<std::vector<std::uint8_t>>> MembershipAgent::on_migrate(
       chunk.insert(chunk.end(), e.value.begin(), e.value.end());
     }
     CallOptions opts;
-    opts.channel = cfg_.channel;
+    opts.channel = kMembershipChannel;
     opts.deadline = std::min(ctx.deadline,
                              cluster_.engine().now() + cfg_.control_deadline);
     auto sent_r = co_await rpc_.call(target, kMemChunk, chunk, opts);
@@ -297,7 +297,7 @@ sim::Task<Result<std::vector<std::uint8_t>>> MembershipAgent::on_migrate(
       put_u32(frame, static_cast<std::uint32_t>(shard));
       frame.insert(frame.end(), blob.begin(), blob.end());
       CallOptions opts;
-      opts.channel = cfg_.channel;
+      opts.channel = kMembershipChannel;
       opts.deadline = std::min(ctx.deadline,
                                cluster_.engine().now() + cfg_.control_deadline);
       auto aux_r = co_await rpc_.call(target, kMemAux, frame, opts);
@@ -393,7 +393,7 @@ sim::Task<Result<std::vector<std::uint8_t>>> MembershipAgent::on_commit(
 
 sim::Task<Status> MembershipAgent::request_join(int coordinator) {
   CallOptions opts;
-  opts.channel = cfg_.channel;
+  opts.channel = kMembershipChannel;
   opts.deadline = cluster_.engine().now() + cfg_.rebalance_deadline;
   auto r = co_await rpc_.call(coordinator, kMemJoin, encode_chip(chip()), opts);
   co_return r.ok() ? Status{} : r.error();
@@ -401,7 +401,7 @@ sim::Task<Status> MembershipAgent::request_join(int coordinator) {
 
 sim::Task<Status> MembershipAgent::request_leave(int coordinator) {
   CallOptions opts;
-  opts.channel = cfg_.channel;
+  opts.channel = kMembershipChannel;
   opts.deadline = cluster_.engine().now() + cfg_.rebalance_deadline;
   auto r = co_await rpc_.call(coordinator, kMemLeave, encode_chip(chip()), opts);
   co_return r.ok() ? Status{} : r.error();
@@ -554,7 +554,7 @@ sim::Task<Status> MembershipCoordinator::rebalance_to(
                        const char* what) -> sim::Task<Status> {
     for (int t : targets) {
       CallOptions opts;
-      opts.channel = cfg_.channel;
+      opts.channel = kMembershipChannel;
       opts.deadline = engine.now() + cfg_.control_deadline;
       auto r = co_await self_.rpc_.call(t, method, body, opts);
       if (!r.ok() && t != leaving) {
@@ -578,7 +578,7 @@ sim::Task<Status> MembershipCoordinator::rebalance_to(
   // MIGRATE: drive each stream source; it serves traffic while streaming.
   for (const ShardMove& m : moves) {
     CallOptions opts;
-    opts.channel = cfg_.channel;
+    opts.channel = kMembershipChannel;
     opts.deadline = engine.now() + cfg_.migrate_deadline;
     auto r = co_await self_.rpc_.call(m.source, kMemMigrate,
                                       encode_migrate(m.shard, m.target), opts);

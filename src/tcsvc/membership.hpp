@@ -59,8 +59,6 @@ inline constexpr std::uint16_t kMemCommit = 21;   ///< coordinator -> agents
 inline constexpr std::uint16_t kMemAux = 22;      ///< stream source -> target
 
 struct MembershipConfig {
-  /// Logical RPC channel of all membership traffic (client=0, replication=1).
-  std::uint8_t channel = 2;
   /// Payload budget per kMemChunk frame (bounded stream: the source yields
   /// the wire between chunks, so migration never monopolizes a ring).
   std::uint32_t chunk_bytes = 2048;

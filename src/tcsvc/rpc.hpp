@@ -56,6 +56,12 @@ namespace tcc::tcsvc {
 /// without telemetry.
 void register_tcsvc_metrics();
 
+/// Logical RPC channels: client traffic, replication and membership share
+/// each peer pair without interleaving their correlation spaces.
+inline constexpr std::uint8_t kClientChannel = 0;
+inline constexpr std::uint8_t kReplicationChannel = 1;
+inline constexpr std::uint8_t kMembershipChannel = 2;
+
 /// Tuning knobs of one RpcNode.
 struct RpcConfig {
   /// Outstanding-call window per peer; a call with no credit by its

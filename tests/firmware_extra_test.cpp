@@ -14,6 +14,14 @@ topology::ClusterConfig cable(std::uint64_t dram = 32_MiB) {
   return c;
 }
 
+/// Registers-only boot: no stage-code fetch timing.
+BootOptions registers_only(ht::LinkFreq freq = BootOptions{}.tccluster_freq) {
+  BootOptions o;
+  o.tccluster_freq = freq;
+  o.model_code_fetch = false;
+  return o;
+}
+
 TEST(Machine, AssemblyMatchesThePlan) {
   sim::Engine engine;
   topology::ClusterConfig c;
@@ -116,7 +124,7 @@ TEST(Boot, SkippingCodeFetchStillLeavesCorrectRegisterState) {
   auto plan = topology::ClusterPlan::build(cable());
   ASSERT_TRUE(plan.ok());
   Machine machine(engine, std::move(plan.value()));
-  BootSequencer boot(machine, BootOptions{.model_code_fetch = false});
+  BootSequencer boot(machine, registers_only());
   ASSERT_TRUE(boot.run().ok());
   // Orders of magnitude faster than a modeled boot...
   EXPECT_LT(boot.trace().back().end.microseconds(), 500.0);
@@ -136,8 +144,7 @@ TEST(Boot, FrequencySweepTrainsWhatTheMediumAllows) {
     auto plan = topology::ClusterPlan::build(cable());
     ASSERT_TRUE(plan.ok());
     Machine machine(engine, std::move(plan.value()));
-    BootSequencer boot(machine, BootOptions{.tccluster_freq = requested,
-                                            .model_code_fetch = false});
+    BootSequencer boot(machine, registers_only(requested));
     ASSERT_TRUE(boot.run().ok());
     for (ht::HtLink* l : machine.tccluster_links()) {
       EXPECT_EQ(l->side_a().regs().freq, expected)
@@ -153,7 +160,7 @@ TEST(Boot, DualCableBootsBothLinksNonCoherent) {
   auto plan = topology::ClusterPlan::build(c);
   ASSERT_TRUE(plan.ok());
   Machine machine(engine, std::move(plan.value()));
-  BootSequencer boot(machine, BootOptions{.model_code_fetch = false});
+  BootSequencer boot(machine, registers_only());
   ASSERT_TRUE(boot.run().ok());
   auto links = machine.tccluster_links();
   ASSERT_EQ(links.size(), 2u);
@@ -173,7 +180,7 @@ TEST(Boot, TorusOfSupernodesBoots) {
   auto plan = topology::ClusterPlan::build(c);
   ASSERT_TRUE(plan.ok());
   Machine machine(engine, std::move(plan.value()));
-  BootSequencer boot(machine, BootOptions{.model_code_fetch = false});
+  BootSequencer boot(machine, registers_only());
   Status st = boot.run();
   ASSERT_TRUE(st.ok()) << st.error().to_string();
   // 8 chips, every chip's member NodeID and TCCluster flags programmed.
@@ -209,7 +216,7 @@ TEST(BootTrace, StageNotesEmptyOnSuccess) {
   auto plan = topology::ClusterPlan::build(cable());
   ASSERT_TRUE(plan.ok());
   Machine machine(engine, std::move(plan.value()));
-  BootSequencer boot(machine, BootOptions{.model_code_fetch = false});
+  BootSequencer boot(machine, registers_only());
   ASSERT_TRUE(boot.run().ok());
   for (const auto& rec : boot.trace()) {
     EXPECT_TRUE(rec.note.empty()) << to_string(rec.stage) << ": " << rec.note;

@@ -527,5 +527,85 @@ TEST(KvFailover, PromotesReplicaWithinOneEpochNoAckedWriteLost) {
   }
 }
 
+// --------------------------------------------------------- RoutedCaller --
+
+// The retry loop every serving client shares, driven by handlers that answer
+// a scripted error code: semantic codes are final after one attempt; the
+// availability codes alternate primary -> replica, back off between tries,
+// and stop before the operation deadline.
+TEST(RoutedCaller, FinalCodesStopAtOnceOthersAlternateUntilTheDeadline) {
+  auto cl = make_ring4();
+  sim::Engine& engine = cl->engine();
+  constexpr std::uint16_t kScripted = 99;
+  const Picoseconds backoff = Picoseconds::from_us(2.0);
+  ErrorCode scripted = ErrorCode::kNotFound;
+  std::vector<std::pair<int, Picoseconds>> attempts;  // (chip, handler start)
+
+  const std::vector<int> all_chips = {0, 1, 2, 3};
+  std::vector<std::unique_ptr<tcsvc::RpcNode>> nodes;
+  for (int chip : all_chips) {
+    nodes.push_back(std::make_unique<tcsvc::RpcNode>(*cl, chip));
+    if (chip == 0) continue;
+    nodes.back()->handle(kScripted, [&, chip](const tcsvc::RpcContext&,
+                                              std::span<const std::uint8_t>)
+                                        -> sim::Task<Result<std::vector<std::uint8_t>>> {
+      attempts.emplace_back(chip, engine.now());
+      co_return make_error(scripted, "scripted");
+    });
+    nodes.back()->start(all_chips).expect("start");
+  }
+  const tcsvc::ShardMap map({1, 2, 3}, 4, 0x7cc);
+  const int primary = map.primary(0);
+  const int replica = map.replica(0);
+  tcsvc::RouteStats stats;
+  tcsvc::RoutedCaller caller(*cl, *nodes[0], map, Picoseconds::from_us(500.0),
+                             Picoseconds::from_us(60.0), backoff, stats);
+
+  struct Case {
+    ErrorCode code;
+    bool final;
+  };
+  const Case cases[] = {
+      {ErrorCode::kNotFound, true},           {ErrorCode::kInvalidArgument, true},
+      {ErrorCode::kResourceExhausted, true},  {ErrorCode::kProtocolViolation, true},
+      {ErrorCode::kUnavailable, false},       {ErrorCode::kTimeout, false},
+      {ErrorCode::kFailedPrecondition, false},
+  };
+  bool done = false;
+  engine.spawn_fn([&]() -> sim::Task<void> {
+    for (const Case& c : cases) {
+      SCOPED_TRACE(to_string(c.code));
+      scripted = c.code;
+      attempts.clear();
+      const tcsvc::RouteStats before = stats;
+      const Picoseconds deadline = engine.now() + Picoseconds::from_us(40.0);
+      auto r = co_await caller.call(kScripted, 0, {}, deadline);
+      EXPECT_FALSE(r.ok());
+      if (!r.ok()) { EXPECT_EQ(r.error().code, c.code); }
+      const std::uint64_t tries = attempts.size();
+      EXPECT_EQ(stats.retries - before.retries, tries - 1);
+      if (c.final) {
+        EXPECT_EQ(tries, 1u) << "a semantic outcome must not be retried";
+        continue;
+      }
+      EXPECT_GE(tries, 3u);
+      for (std::size_t i = 0; i < attempts.size(); ++i) {
+        EXPECT_EQ(attempts[i].first, i % 2 == 0 ? primary : replica) << "attempt " << i;
+        EXPECT_LT(attempts[i].second.count(), deadline.count());
+        if (i > 0) {
+          EXPECT_GE((attempts[i].second - attempts[i - 1].second).count(),
+                    backoff.count());
+        }
+      }
+      EXPECT_EQ(stats.failover_routes - before.failover_routes, tries / 2);
+      EXPECT_LE(engine.now().count(), deadline.count());
+    }
+    done = true;
+    for (auto& n : nodes) n->stop();
+  });
+  engine.run();
+  ASSERT_TRUE(done);
+}
+
 }  // namespace
 }  // namespace tcc

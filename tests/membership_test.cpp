@@ -219,7 +219,7 @@ TEST(Membership, JoinStreamsShardsAndCommitsNewEpoch) {
       auto got = co_await rig.client->get(key);
       EXPECT_TRUE(got.ok()) << key
                             << (got.ok() ? "" : ": " + got.error().to_string());
-      if (got.ok()) EXPECT_EQ(got.value(), value);
+      if (got.ok()) { EXPECT_EQ(got.value(), value); }
     }
     done = true;
     rig.stop_all();
@@ -267,7 +267,7 @@ TEST(Membership, DrainMigratesShardsOutBeforeLeaving) {
       auto got = co_await rig.client->get(key);
       EXPECT_TRUE(got.ok()) << key
                             << (got.ok() ? "" : ": " + got.error().to_string());
-      if (got.ok()) EXPECT_EQ(got.value(), value);
+      if (got.ok()) { EXPECT_EQ(got.value(), value); }
     }
     done = true;
     rig.stop_all();
@@ -333,7 +333,7 @@ TEST(Membership, EvictionReseedsReplicasAndClosesDegradedWindow) {
       auto got = co_await rig.client->get(key);
       EXPECT_TRUE(got.ok()) << key
                             << (got.ok() ? "" : ": " + got.error().to_string());
-      if (got.ok()) EXPECT_EQ(got.value(), value);
+      if (got.ok()) { EXPECT_EQ(got.value(), value); }
     }
     done = true;
     rig.cl->stop_keepalives();

@@ -71,6 +71,14 @@ struct StoreRig {
     return sum;
   }
 
+  std::uint64_t sum_kv_stat(std::uint64_t tcsvc::KvStats::* field) const {
+    std::uint64_t sum = 0;
+    for (const auto& k : kvs) {
+      if (k) sum += k->stats().*field;
+    }
+    return sum;
+  }
+
   std::size_t total_dedup_records() const {
     std::size_t n = 0;
     for (const auto& s : stores) {
@@ -155,8 +163,61 @@ TEST(StoreOps, IncrAddsWrapsAndRejectsNonCounters) {
   EXPECT_EQ(*copy, counter_bytes(3));
 
   EXPECT_EQ(rig.sum_stat(&tcstore::StoreStats::incrs), 4u);  // 3 ok + 1 typed
-  EXPECT_EQ(rig.sum_stat(&tcstore::StoreStats::degraded_ops), 0u);
-  EXPECT_EQ(rig.sum_stat(&tcstore::StoreStats::not_primary_rejects), 0u);
+  EXPECT_EQ(rig.sum_kv_stat(&tcsvc::KvStats::degraded_writes), 0u);
+  EXPECT_EQ(rig.sum_kv_stat(&tcsvc::KvStats::not_primary_rejects), 0u);
+}
+
+// ------------------------------------------------------- isolation guard --
+
+// A chip whose keepalive judges every other server dead must not ack a write
+// on its own copy: it is far more likely the cut-off side of a partition than
+// the last survivor. Puts and store ops go through the same replication step,
+// so both refuse.
+TEST(IsolationGuard, RefusesSingleCopyAckWhenEveryOtherServerLooksDead) {
+  // One attempt per op (the backoff outlasts the deadline), so each result is
+  // the server's verdict, not whichever retry the deadline happened to cut.
+  const Picoseconds budget = Picoseconds::from_us(50.0);
+  tcstore::StoreConfig store_cfg;
+  store_cfg.retry_backoff = 2 * budget;
+  tcsvc::KvConfig kv_cfg;
+  kv_cfg.retry_backoff = 2 * budget;
+  auto rig = make_store_rig(store_cfg);
+  tcsvc::KvClient kv_client(*rig.cl, *rig.nodes[0], rig.map, kv_cfg);
+  sim::Engine& engine = rig.cl->engine();
+  rig.cl->start_keepalives(Picoseconds::from_us(2.0), Picoseconds::from_us(10.0));
+  // A key whose shard chip 1 takes over once its primary (2 or 3) is dead.
+  std::string key;
+  for (int i = 0; key.empty(); ++i) {
+    const std::string k = "iso" + std::to_string(i);
+    if (rig.map.replica(rig.map.shard_of(k)) == 1) key = k;
+  }
+  auto judged_dead = [&](int observer) {
+    return !rig.cl->driver(observer).peer_alive(2) &&
+           !rig.cl->driver(observer).peer_alive(3);
+  };
+  bool done = false;
+  engine.spawn_fn([&]() -> sim::Task<void> {
+    for (const int chip : {2, 3}) {
+      rig.cl->driver(chip).set_hung(true);
+      rig.nodes[static_cast<std::size_t>(chip)]->stop();
+    }
+    while (!judged_dead(0) || !judged_dead(1)) {
+      co_await engine.delay(Picoseconds::from_us(1.0));
+    }
+    auto put = co_await kv_client.put(key, counter_bytes(7), engine.now() + budget);
+    EXPECT_FALSE(put.ok()) << "put acked on an isolated chip's copy alone";
+    if (!put.ok()) { EXPECT_EQ(put.error().code, ErrorCode::kUnavailable); }
+
+    auto incr = co_await rig.client->incr(key, 1, Picoseconds{0}, engine.now() + budget);
+    EXPECT_FALSE(incr.ok()) << "incr acked on an isolated chip's copy alone";
+    if (!incr.ok()) { EXPECT_EQ(incr.error().code, ErrorCode::kUnavailable); }
+    done = true;
+    rig.cl->stop_keepalives();
+    rig.stop_all();
+  });
+  engine.run();
+  ASSERT_TRUE(done);
+  EXPECT_EQ(rig.sum_kv_stat(&tcsvc::KvStats::degraded_writes), 0u);
 }
 
 TEST(StoreOps, CasCreateConflictAndVersionChain) {
