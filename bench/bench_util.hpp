@@ -101,7 +101,7 @@ class BenchReport {
     return {std::move(k), telemetry::json_number(v)};
   }
   static std::pair<std::string, std::string> str(std::string k, const std::string& v) {
-    return {std::move(k), "\"" + telemetry::json_escape(v) + "\""};
+    return {std::move(k), telemetry::json_quote(v)};
   }
 
   BenchReport(std::string bench, std::string metric, std::string unit)

@@ -123,7 +123,7 @@ int run(int argc, char** argv) {
     report.config("budget_pct", kSmallPayloadBudgetPct);
     report.config("rel_window", static_cast<double>(rel.window));
     report.config("rel_seq_bits", rel.seq_bits);
-    report.config("rel_ack_threshold", static_cast<double>(rel.ack_threshold));
+    report.config("rel_ack_threshold", static_cast<double>(cluster::kRelAckThreshold));
   }
 
   std::printf("%8s %14s %14s %10s %14s %14s\n", "payload", "raw p50 (ns)",

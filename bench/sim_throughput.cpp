@@ -85,7 +85,7 @@ void kv_hop(KvState& st, KvPayload payload, int hop, TimerHandle deadline) {
 }
 
 // One client connection: issue, arm the RPC deadline, run the hops, repeat.
-// The deadline matches RpcConfig::default_deadline (500 us) while requests
+// The deadline matches tcsvc::kDefaultCallDeadline (500 us) while requests
 // finish in ~1 us, so deadlines are always cancelled. The pre-change engine
 // could not remove them: at this aggregate rate it carried a standing
 // population of thousands of dead nodes in its heap (deep sifts, cache

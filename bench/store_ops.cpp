@@ -249,7 +249,7 @@ ChaosResult run_chaos(int iters) {
         co_await eng.delay(Picoseconds::from_ns(
             1500.0 + static_cast<double>(rng.next_below(2500))));
         const std::string key =
-            "c" + std::to_string((w * kChaosKeys / kChaosWorkers + i) % kChaosKeys);
+            strprintf("c%d", (w * kChaosKeys / kChaosWorkers + i) % kChaosKeys);
         auto r = co_await rig.client->incr(key, 1,
                                            Picoseconds{0},
                                            eng.now() + Picoseconds::from_us(400.0));

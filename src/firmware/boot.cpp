@@ -84,11 +84,6 @@ Status BootSequencer::plan_check() const {
                         strprintf("plan check: chip %d needs %d DRAM range pairs",
                                   cp.chip, dram_used));
     }
-    if (static_cast<int>(cp.adaptive.size()) > opteron::kNumMmioRanges) {
-      return make_error(ErrorCode::kResourceExhausted,
-                        strprintf("plan check: chip %d needs %d adaptive entries",
-                                  cp.chip, static_cast<int>(cp.adaptive.size())));
-    }
     // Every DRAM-pair spill route must name a NodeID whose routing-table
     // entry sends requests out the intended egress port.
     for (const auto& dr : cp.dram_routes) {
@@ -500,14 +495,6 @@ sim::Task<Status> BootSequencer::stage_northbridge_init(int sn) {
     // routing-table write below gives the alias its egress port.
     for (const topology::ChipPlan::DramRoute& dr : cp.dram_routes) {
       if (Status s = regs.add_dram_range(dr.range, dr.node_id); !s.ok()) co_return s;
-    }
-    if (machine_.plan().config().adaptive_routing) {
-      for (const topology::ChipPlan::AdaptiveHint& ah : cp.adaptive) {
-        if (Status s = regs.add_adaptive_route(ah.range, ah.primary_port, ah.alt_port);
-            !s.ok()) {
-          co_return s;
-        }
-      }
     }
     for (int member = 0; member < 8; ++member) {
       const int port = cp.route_to_member[static_cast<std::size_t>(member)];

@@ -5,12 +5,9 @@ namespace tcc::firmware {
 Machine::Machine(sim::Engine& engine, topology::ClusterPlan plan,
                  opteron::ChipConfig chip_template)
     : engine_(engine), plan_(std::move(plan)) {
-  const auto& cfg = plan_.config();
-
   for (const topology::ChipPlan& cp : plan_.chips()) {
     opteron::ChipConfig cc = chip_template;
     cc.name = "sn" + std::to_string(cp.supernode) + ".n" + std::to_string(cp.member);
-    cc.dram_bytes = cfg.dram_per_chip;
     chips_.push_back(std::make_unique<opteron::OpteronChip>(engine_, cc));
   }
 
@@ -83,15 +80,6 @@ Status Machine::apply_routing(const topology::ClusterPlan& degraded) {
     }
     for (const topology::ChipPlan::DramRoute& dr : cp.dram_routes) {
       if (Status s = regs.add_dram_range(dr.range, dr.node_id); !s.ok()) return s;
-    }
-    // Adaptive escape hints are computed against the healthy topology; the
-    // degraded plan carries a fresh (possibly empty) set.
-    regs.adaptive.fill(opteron::AdaptiveRouteReg{});
-    for (const topology::ChipPlan::AdaptiveHint& ah : cp.adaptive) {
-      if (Status s = regs.add_adaptive_route(ah.range, ah.primary_port, ah.alt_port);
-          !s.ok()) {
-        return s;
-      }
     }
     for (int member = 0; member < opteron::kMaxCoherentNodes; ++member) {
       const int port = cp.route_to_member[static_cast<std::size_t>(member)];

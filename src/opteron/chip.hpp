@@ -17,8 +17,7 @@ namespace tcc::opteron {
 
 struct ChipConfig {
   std::string name = "node";
-  int num_cores = 4;                 ///< Shanghai: four cores
-  std::uint64_t dram_bytes = 8_GiB;  ///< per-node memory in the prototype
+  int num_cores = 4;  ///< Shanghai: four cores
   int nb_outbound_depth = kNbOutboundDepth;
 };
 

@@ -25,8 +25,6 @@ struct NbMetrics {
       "opteron.nb.requests_forwarded");
   telemetry::Counter& sunk =
       telemetry::MetricsRegistry::global().counter("opteron.nb.requests_sunk");
-  telemetry::Counter& adaptive_escapes = telemetry::MetricsRegistry::global().counter(
-      "opteron.nb.adaptive_escapes");
 };
 
 NbMetrics& nb_metrics() {
@@ -138,26 +136,6 @@ sim::Task<Status> Northbridge::dispatch(Route route, ht::Packet packet, Ingress 
       co_return Status{};
     }
     case Route::Kind::kLink: {
-      // Opt-in adaptive escape (firmware programs the table only when the
-      // plan was built with adaptive_routing): a posted write whose primary
-      // egress queue would block may take the planner-approved alternate.
-      // Both ports are minimal for the address, so escaping never lengthens
-      // the path — congestion picks between shortest paths, nothing more.
-      if (packet.command == ht::Command::kSizedWritePosted) {
-        if (const AdaptiveRouteReg* ar = regs_.adaptive_lookup(packet.address)) {
-          const int alt = ar->alt_link;
-          if (ar->primary_link == route.link && alt != route.link &&
-              alt >= 0 && alt < kMaxLinks &&
-              links_[static_cast<std::size_t>(alt)] != nullptr &&
-              !(from.kind == Ingress::Kind::kLink && alt == from.link) &&
-              outbound_[static_cast<std::size_t>(route.link)]->full() &&
-              !outbound_[static_cast<std::size_t>(alt)]->full()) {
-            route.link = alt;
-            ++adaptive_escapes_;
-            TCC_METRIC(nb_metrics().adaptive_escapes.inc());
-          }
-        }
-      }
       if (from.kind == Ingress::Kind::kLink && route.link == from.link) {
         ++regs_.master_aborts;
         TCC_METRIC(nb_metrics().master_aborts.inc());

@@ -79,7 +79,6 @@ class Northbridge {
 
   [[nodiscard]] std::uint64_t requests_forwarded() const { return forwarded_; }
   [[nodiscard]] std::uint64_t requests_sunk() const { return sunk_; }
-  [[nodiscard]] std::uint64_t adaptive_escapes() const { return adaptive_escapes_; }
   [[nodiscard]] std::uint64_t broadcasts_received() const { return irqs_; }
   [[nodiscard]] MemoryController& mc() { return mc_; }
 
@@ -129,7 +128,6 @@ class Northbridge {
 
   std::uint64_t forwarded_ = 0;
   std::uint64_t sunk_ = 0;
-  std::uint64_t adaptive_escapes_ = 0;
   std::uint64_t irqs_ = 0;
 };
 

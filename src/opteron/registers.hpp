@@ -53,18 +53,6 @@ struct RouteReg {
   int broadcast_links = 0;  ///< bitmask of links to replicate broadcasts onto
 };
 
-/// One adaptive-escape entry (opt-in, ClusterConfig::adaptive_routing): when
-/// a posted write to `range` would leave on `primary_link` but that queue is
-/// full, it may leave on `alt_link` instead. The planner only emits entries
-/// whose alternate is minimal for every address in the range, so escapes
-/// never push a packet off a shortest path (no livelock).
-struct AdaptiveRouteReg {
-  bool enabled = false;
-  AddrRange range;
-  int primary_link = 0;
-  int alt_link = 0;
-};
-
 /// The register file of one northbridge.
 struct NorthbridgeRegs {
   int node_id = kUnassignedNodeId;
@@ -72,7 +60,6 @@ struct NorthbridgeRegs {
   std::array<DramRangeReg, kNumDramRanges> dram{};
   std::array<MmioRangeReg, kNumMmioRanges> mmio{};
   std::array<RouteReg, kMaxCoherentNodes> routes{};
-  std::array<AdaptiveRouteReg, kNumMmioRanges> adaptive{};
 
   /// TCCluster mode (§IV/§V): set by firmware after forcing links
   /// non-coherent. Changes two behaviours: arriving non-posted requests on
@@ -138,29 +125,9 @@ struct NorthbridgeRegs {
     return make_error(ErrorCode::kResourceExhausted, "all 8 MMIO range registers in use");
   }
 
-  [[nodiscard]] const AdaptiveRouteReg* adaptive_lookup(PhysAddr a) const {
-    const AdaptiveRouteReg* hit = nullptr;
-    for (const auto& r : adaptive) {
-      if (r.enabled && r.range.contains(a)) hit = &r;
-    }
-    return hit;
-  }
-
-  Status add_adaptive_route(AddrRange range, int primary_link, int alt_link) {
-    for (auto& r : adaptive) {
-      if (!r.enabled) {
-        r = AdaptiveRouteReg{true, range, primary_link, alt_link};
-        return {};
-      }
-    }
-    return make_error(ErrorCode::kResourceExhausted,
-                      "all 8 adaptive route registers in use");
-  }
-
   void clear_ranges() {
     dram.fill(DramRangeReg{});
     mmio.fill(MmioRangeReg{});
-    adaptive.fill(AdaptiveRouteReg{});
   }
 };
 

@@ -1,7 +1,6 @@
 #include "tccluster/reliable.hpp"
 
 #include <algorithm>
-#include <cstring>
 
 #include "common/log.hpp"
 #include "opteron/timing.hpp"
@@ -33,8 +32,6 @@ struct RelMetrics {
       "tccluster.rel.backpressure_stalls");
   telemetry::Counter& epoch_bumps = telemetry::MetricsRegistry::global().counter(
       "tccluster.rel.epoch_bumps");
-  telemetry::Counter& flushed =
-      telemetry::MetricsRegistry::global().counter("tccluster.rel.flushed");
   // Batched cumulative-ACK publication.
   telemetry::Counter& ack_batch_published = telemetry::MetricsRegistry::global().counter(
       "tccluster.rel.ack_batch.published");
@@ -57,15 +54,55 @@ RelMetrics& rel_metrics() {
 
 void register_reliable_metrics() { TCC_METRIC((void)rel_metrics()); }
 
-const char* to_string(DeliveryPolicy p) {
-  switch (p) {
-    case DeliveryPolicy::kReplay: return "replay";
-    case DeliveryPolicy::kFlush: return "flush";
-  }
-  return "?";
-}
-
 namespace {
+
+/// Throttle for the opportunistic progress checks (ack refresh, epoch word
+/// poll) inside send/recv/poll loops.
+constexpr Picoseconds kProgressInterval = Picoseconds::from_ns(500.0);
+/// Background pump period (start_pump()); also the epoch republish beat.
+constexpr Picoseconds kPumpInterval = Picoseconds::from_us(2.0);
+/// Bound on any single raw-ring operation while a mutex is held, so an epoch
+/// reset can always interleave with a wedged raw op.
+constexpr Picoseconds kRawSlice = Picoseconds::from_us(2.0);
+/// Settle delay before a sync initiator resets its receive ring, letting
+/// in-flight raw stores from the old epoch land (flight time is orders of
+/// magnitude below every initiation trigger; this is belt-and-braces).
+constexpr Picoseconds kDrainDelay = Picoseconds::from_ns(500.0);
+/// Batched-ACK hard cap: while a delivery burst is still draining (more
+/// sub-messages decoded and queued at the raw layer), the kRelAckThreshold
+/// publish is deferred so the whole burst costs ONE control-block write —
+/// but never past this many unacknowledged deliveries. Keep it below the
+/// peer's window or a long burst could stall the sender mid-burst; the
+/// delayed-ACK timer (kAckDelay) bounds the deferral in time regardless.
+constexpr std::uint64_t kAckBatchLimit = 24;
+/// Packed line-group coalescing in the transmit drain path: a run of
+/// consecutive buffered messages each no larger than this is handed to the
+/// raw ring as ONE group (one doorbell, one credit acquisition, one sequence
+/// number at the slot level).
+constexpr std::uint32_t kPackEligibleBytes = 256;
+/// Cap on a packed group's region (record headers included). Bounds how many
+/// ring credits one drain round can claim at once.
+constexpr std::uint32_t kPackGroupBytes = 1024;
+/// Delayed-ACK bound: every delivery arms a one-shot timer; if nothing else
+/// (piggyback, idle-edge push, threshold) has published the ACK by then, the
+/// timer does. Keeps the delivery fast path free of ACK stores while still
+/// covering a caller that stops calling recv() right after the stream's
+/// last message.
+constexpr Picoseconds kAckDelay = Picoseconds::from_us(1.0);
+/// Cadence for loading the peer's ACK word with sends outstanding but no
+/// pressure (window under half full, no untransmitted backlog). Pressure
+/// makes the refresh eager again; this only bounds how stale the stall clock
+/// can run in a relaxed request/response exchange.
+constexpr Picoseconds kAckRefreshInterval = Picoseconds::from_us(2.0);
+/// Throttle for polling the peer's epoch word while no sync is in flight —
+/// it only changes around faults, so the hot loops should not pay a 60 ns
+/// uncacheable load for it every progress beat.
+constexpr Picoseconds kEpochInterval = Picoseconds::from_us(2.0);
+/// Consecutive out-of-order (future-seq) receptions before the receive side
+/// concludes it missed a sync and initiates one itself.
+constexpr int kGapSyncThreshold = 64;
+/// Cap on the per-endpoint diagnostics event log (trace export).
+constexpr std::size_t kMaxEvents = 4096;
 
 /// Epoch control word: low 32 bits epoch, bit 32 "sync in progress".
 constexpr std::uint64_t kEpochMask = 0xffffffffull;
@@ -77,7 +114,7 @@ constexpr std::uint64_t kSyncFlag = std::uint64_t{1} << 32;
 //
 //   bit  31     : kTagRelFlag — identifies a rel frame
 //   bits 25..29 : sender's seq_bits (config cross-check, 1..16)
-//   bit  24     : MsgKind (0 data, 1 gap mark)
+//   bit  24     : unused
 //   bits 16..23 : sender epoch, low 8 bits (full epoch is in the control
 //                 word; 8 bits are ample to reject stale in-flight frames —
 //                 the ring is reset on every bump, so live frames can only
@@ -86,7 +123,6 @@ constexpr std::uint64_t kSyncFlag = std::uint64_t{1} << 32;
 constexpr std::uint32_t kTagRelFlag = 1u << 31;
 constexpr std::uint32_t kTagBitsShift = 25;
 constexpr std::uint32_t kTagBitsMask = 0x1f;
-constexpr std::uint32_t kTagKindBit = 1u << 24;
 constexpr std::uint32_t kTagEpochShift = 16;
 constexpr std::uint32_t kTagEpochMask = 0xff;
 constexpr std::uint32_t kTagSeqMask = 0xffff;
@@ -122,46 +158,45 @@ ReliableEndpoint::~ReliableEndpoint() {
   (void)core_.engine().cancel(ack_timer_);
 }
 
-std::uint32_t ReliableEndpoint::make_tag(std::uint64_t seq, MsgKind kind) const {
+std::uint32_t ReliableEndpoint::make_tag(std::uint64_t seq) const {
   return kTagRelFlag |
          (static_cast<std::uint32_t>(cfg_.seq_bits) << kTagBitsShift) |
-         (kind == MsgKind::kGapMark ? kTagKindBit : 0u) |
          (static_cast<std::uint32_t>(local_epoch_ & kTagEpochMask)
           << kTagEpochShift) |
          static_cast<std::uint32_t>(seq & seq_mask() & kTagSeqMask);
 }
 
 void ReliableEndpoint::record(RelEvent::Kind kind, std::uint64_t a, std::uint64_t b) {
-  if (events_.size() >= cfg_.max_events) {
+  if (events_.size() >= kMaxEvents) {
     ++events_dropped_;
     return;
   }
   events_.push_back(RelEvent{kind, core_.engine().now(), a, b});
 }
 
-sim::Task<bool> ReliableEndpoint::transmit(std::uint64_t seq, MsgKind kind,
+sim::Task<bool> ReliableEndpoint::transmit(std::uint64_t seq,
                                            std::span<const std::uint8_t> payload) {
   // Caller holds tx_mutex_. Piggyback the cumulative delivered-count ACK on
   // the same posted path as the data: the raw send ends in an sfence, so the
   // ACK word commits with (ahead of) the message. Capture before suspending
   // — a delivery landing mid-store must not be marked acked unseen. While
   // the delayed-ACK timer is armed and the deficit is small, skip it: the
-  // timer publishes off the latency path within ack_delay anyway, and the
-  // peer's window (>= ack_threshold deep) is in no danger meanwhile.
+  // timer publishes off the latency path within kAckDelay anyway, and the
+  // peer's window (>= kRelAckThreshold deep) is in no danger meanwhile.
   if (delivered_ != acked_out_ &&
-      (!ack_timer_armed_ || delivered_ - acked_out_ >= cfg_.ack_threshold)) {
+      (!ack_timer_armed_ || delivered_ - acked_out_ >= kRelAckThreshold)) {
     const std::uint64_t ack = delivered_;
     Status s = co_await core_.store_u64(ack_out_, ack);
     if (s.ok()) acked_out_ = ack;
   }
-  // The header (seq/epoch/kind) travels in the marker tag, not in payload
+  // The header (seq/epoch) travels in the marker tag, not in payload
   // bytes. Bounded raw op: a wedged ring (peer dead, no credits) must not
   // pin the mutex forever. A refused transmit is fine — the message stays
   // in the retransmit buffer; drain_unsent() retries and, if ACKs truly
   // stalled, the epoch sync replays it.
-  const Picoseconds give_up = core_.engine().now() + cfg_.raw_slice;
+  const Picoseconds give_up = core_.engine().now() + kRawSlice;
   Status s = co_await raw_.send(payload, OrderingMode::kWeaklyOrdered, give_up,
-                                make_tag(seq, kind));
+                                make_tag(seq));
   co_return s.ok();
 }
 
@@ -169,7 +204,7 @@ sim::Task<bool> ReliableEndpoint::transmit_group(const std::vector<Pending>& run
   // Caller holds tx_mutex_. Same piggyback-ACK rule as transmit() — the
   // group's closing sfence commits the ACK word with it.
   if (delivered_ != acked_out_ &&
-      (!ack_timer_armed_ || delivered_ - acked_out_ >= cfg_.ack_threshold)) {
+      (!ack_timer_armed_ || delivered_ - acked_out_ >= kRelAckThreshold)) {
     const std::uint64_t ack = delivered_;
     Status s = co_await core_.store_u64(ack_out_, ack);
     if (s.ok()) acked_out_ = ack;
@@ -182,9 +217,9 @@ sim::Task<bool> ReliableEndpoint::transmit_group(const std::vector<Pending>& run
   std::vector<MsgEndpoint::PackedItem> items;
   items.reserve(run.size());
   for (const Pending& p : run) {
-    items.push_back(MsgEndpoint::PackedItem{p.payload, make_tag(p.seq, MsgKind::kData)});
+    items.push_back(MsgEndpoint::PackedItem{p.payload, make_tag(p.seq)});
   }
-  const Picoseconds give_up = core_.engine().now() + cfg_.raw_slice;
+  const Picoseconds give_up = core_.engine().now() + kRawSlice;
   Status s = co_await raw_.send_packed(items, OrderingMode::kWeaklyOrdered, give_up);
   if (s.ok()) {
     ++stats_.groups_sent;
@@ -195,8 +230,8 @@ sim::Task<bool> ReliableEndpoint::transmit_group(const std::vector<Pending>& run
 
 sim::Task<void> ReliableEndpoint::drain_unsent() {
   while (!sync_pending_ && next_unsent_seq_ < next_send_seq_) {
-    // Locate the pending entry (it may have vanished: kFlush clears, a
-    // forced ACK refresh pops). The deque can shift while transmit()
+    // Locate the pending entry (it may have vanished: a forced ACK refresh
+    // pops it). The deque can shift while transmit()
     // suspends, so work from copies and re-derive state each round.
     std::size_t idx = 0;
     for (; idx < buffer_.size(); ++idx) {
@@ -212,21 +247,19 @@ sim::Task<void> ReliableEndpoint::drain_unsent() {
     // payloads. (The send() fast path still transmits a lone message
     // directly, so the latency regime never waits for a group to form.)
     std::vector<Pending> run;
-    if (cfg_.pack_eligible_bytes > 0) {
-      std::uint64_t region = 0;
-      std::uint64_t want = next_unsent_seq_;
-      for (std::size_t i = idx; i < buffer_.size(); ++i) {
-        const Pending& cand = buffer_[i];
-        if (cand.seq != want || cand.payload.size() > cfg_.pack_eligible_bytes) break;
-        // Rel records always carry a tag (the header channel), so each one
-        // costs the base + tag framing on top of its payload.
-        const std::uint64_t record =
-            MsgSlot::kRecordBase + MsgSlot::kRecordTag + cand.payload.size();
-        if (region + record > cfg_.pack_group_bytes) break;
-        region += record;
-        run.push_back(cand);
-        ++want;
-      }
+    std::uint64_t region = 0;
+    std::uint64_t want = next_unsent_seq_;
+    for (std::size_t i = idx; i < buffer_.size(); ++i) {
+      const Pending& cand = buffer_[i];
+      if (cand.seq != want || cand.payload.size() > kPackEligibleBytes) break;
+      // Rel records always carry a tag (the header channel), so each one
+      // costs the base + tag framing on top of its payload.
+      const std::uint64_t record =
+          MsgSlot::kRecordBase + MsgSlot::kRecordTag + cand.payload.size();
+      if (region + record > kPackGroupBytes) break;
+      region += record;
+      run.push_back(cand);
+      ++want;
     }
     if (run.size() >= 2) {
       const std::uint64_t last_seq = run.back().seq;
@@ -236,7 +269,7 @@ sim::Task<void> ReliableEndpoint::drain_unsent() {
     }
     const std::uint64_t seq = buffer_[idx].seq;
     const std::vector<std::uint8_t> payload = buffer_[idx].payload;
-    if (!co_await transmit(seq, MsgKind::kData, payload)) break;
+    if (!co_await transmit(seq, payload)) break;
     next_unsent_seq_ = std::max(next_unsent_seq_, seq + 1);
   }
 }
@@ -264,7 +297,7 @@ sim::Task<Status> ReliableEndpoint::send(std::span<const std::uint8_t> payload,
         // tx state is stale until the peer adopts); otherwise buffer-only —
         // the wait loop below / replay carries it.
         if (!sync_pending_ && seq == next_unsent_seq_ &&
-            co_await transmit(seq, MsgKind::kData, payload)) {
+            co_await transmit(seq, payload)) {
           next_unsent_seq_ = std::max(next_unsent_seq_, seq + 1);
         }
       }
@@ -280,7 +313,7 @@ sim::Task<Status> ReliableEndpoint::send(std::span<const std::uint8_t> payload,
     // cadence the recovery machinery relies on is unchanged.
     co_await progress();
     if (accepted) {
-      // Acceptance guarantees delivery (kReplay), but do not return while
+      // Acceptance guarantees delivery, but do not return while
       // the message has never been handed to the ring: the sending
       // coroutine is often the only process driving recovery, and an
       // untransmitted message with nobody pushing it would strand the
@@ -330,13 +363,13 @@ sim::Task<Result<std::vector<std::uint8_t>>> ReliableEndpoint::recv(
       // Block inside the raw receive for one slice rather than poll()ing
       // first: within a slice this loop's marker-poll cadence is identical
       // to raw tcmsg (no second marker load, no progress() beat between
-      // polls). The slice is SHORT — progress_interval, not raw_slice — so
+      // polls). The slice is SHORT — kProgressInterval, not kRawSlice — so
       // the periodic maintenance loads (peer ACK word, epoch word) run
       // between slices, i.e. while we are waiting anyway and the loads
       // overlap message flight time instead of sitting on the send path:
       // by the time the caller turns around and send()s, its progress
       // throttles are already satisfied.
-      Picoseconds slice_end = core_.engine().now() + cfg_.progress_interval;
+      Picoseconds slice_end = core_.engine().now() + kProgressInterval;
       if (deadline && *deadline < slice_end) slice_end = *deadline;
       {
         auto r = co_await raw_.recv_tagged(slice_end);
@@ -353,18 +386,8 @@ sim::Task<Result<std::vector<std::uint8_t>>> ReliableEndpoint::recv(
               // A stale frame is still a retransmission signal: without
               // this, a receiver fed nothing but stale-epoch packets (CRC
               // storm around a sync) never refreshes its ACK and the sender
-              // waits out its full ack_delay/stall clock.
+              // waits out its full kAckDelay/stall clock.
               co_await note_suppressed();
-            } else if ((tag & kTagKindBit) != 0) {
-              // kGapMark (kFlush sync): the peer discarded its buffer; the
-              // payload is its (u64) next send seq — skip the flushed range.
-              if (payload.size() >= 8) {
-                std::uint64_t next_seq = 0;
-                std::memcpy(&next_seq, payload.data(), sizeof next_seq);
-                if (next_seq >= 1) delivered_ = std::max(delivered_, next_seq - 1);
-              }
-              gap_streak_ = 0;
-              co_await publish_ack();
             } else {
               const std::uint64_t mask = seq_mask();
               const std::uint64_t expected = (delivered_ + 1) & mask;
@@ -383,12 +406,12 @@ sim::Task<Result<std::vector<std::uint8_t>>> ReliableEndpoint::recv(
                 // burst is still draining out of the raw unpack queue the
                 // threshold publish is deferred too — the burst then costs
                 // ONE control-block write at its tail instead of one per
-                // ack_threshold — but never past ack_batch_limit.
+                // kRelAckThreshold — but never past kAckBatchLimit.
                 arm_ack_timer();
                 const std::uint64_t deficit = delivered_ - acked_out_;
-                if (deficit >= cfg_.ack_batch_limit) {
+                if (deficit >= kAckBatchLimit) {
                   co_await publish_ack();
-                } else if (deficit >= cfg_.ack_threshold) {
+                } else if (deficit >= kRelAckThreshold) {
                   if (raw_.unpacked_pending() == 0) {
                     co_await publish_ack();
                   } else {
@@ -412,7 +435,7 @@ sim::Task<Result<std::vector<std::uint8_t>>> ReliableEndpoint::recv(
                 // streak conclude we must resync ourselves.
                 ++stats_.gap_drops;
                 TCC_METRIC(rel_metrics().gap_drops.inc());
-                if (++gap_streak_ >= cfg_.gap_sync_threshold) want_sync = true;
+                if (++gap_streak_ >= kGapSyncThreshold) want_sync = true;
               }
             }
           }
@@ -474,7 +497,7 @@ sim::Task<void> ReliableEndpoint::refresh_acks() {
       ++stats_.acked;
       TCC_METRIC(rel_metrics().acked.inc());
     }
-    // An acked seq was by definition transmitted (or covered by a gap mark).
+    // An acked seq was by definition transmitted.
     next_unsent_seq_ = std::max(next_unsent_seq_, peer_delivered_ + 1);
   }
 }
@@ -482,7 +505,7 @@ sim::Task<void> ReliableEndpoint::refresh_acks() {
 sim::Task<void> ReliableEndpoint::progress() {
   const Picoseconds now = core_.engine().now();
   if (last_progress_check_ != Picoseconds::zero() &&
-      now - last_progress_check_ < cfg_.progress_interval) {
+      now - last_progress_check_ < kProgressInterval) {
     co_return;
   }
   last_progress_check_ = now;
@@ -492,14 +515,14 @@ sim::Task<void> ReliableEndpoint::progress() {
   // recv/poll loop would otherwise pay per beat). Even with sends
   // outstanding, the load runs on a cadence: eagerly under pressure (window
   // half full, or untransmitted backlog waiting on ring credits), else at
-  // ack_refresh_interval — fast enough to keep the stall clock honest, slow
+  // kAckRefreshInterval — fast enough to keep the stall clock honest, slow
   // enough that a request/response loop does not pay 60 ns per message for
   // bookkeeping that can wait a beat.
   if (!buffer_.empty() || next_unsent_seq_ < next_send_seq_) {
     const bool pressure = buffer_.size() >= cfg_.window / 2 ||
                           next_unsent_seq_ < next_send_seq_;
     if (pressure || last_ack_refresh_ == Picoseconds::zero() ||
-        now - last_ack_refresh_ >= cfg_.ack_refresh_interval) {
+        now - last_ack_refresh_ >= kAckRefreshInterval) {
       last_ack_refresh_ = now;
       co_await refresh_acks();
       // Push any unsent backlog into the ring as credits return.
@@ -514,7 +537,7 @@ sim::Task<void> ReliableEndpoint::progress() {
   // longer throttle — except while a handshake is in flight, when it is the
   // signal everything waits on.
   if (sync_pending_ || last_epoch_check_ == Picoseconds::zero() ||
-      now - last_epoch_check_ >= cfg_.epoch_interval) {
+      now - last_epoch_check_ >= kEpochInterval) {
     last_epoch_check_ = now;
     auto w = co_await core_.load_u64(epoch_in_);
     if (w.ok()) {
@@ -591,7 +614,7 @@ sim::Task<void> ReliableEndpoint::initiate_sync() {
            driver_.chip(), peer_, static_cast<unsigned long long>(target));
 
   // Let in-flight raw stores from the old epoch land before wiping the ring.
-  co_await core_.engine().delay(cfg_.drain_delay);
+  co_await core_.engine().delay(kDrainDelay);
   if (!sync_pending_ || local_epoch_ != target) co_return;  // superseded
 
   {
@@ -642,25 +665,8 @@ sim::Task<void> ReliableEndpoint::complete_sync() {
 
 sim::Task<void> ReliableEndpoint::replay_unacked() {
   // Caller holds tx_mutex_; the epoch handshake just completed, so both raw
-  // ring directions are fresh.
-  if (cfg_.policy == DeliveryPolicy::kFlush) {
-    if (!buffer_.empty()) {
-      stats_.flushed += buffer_.size();
-      TCC_METRIC(rel_metrics().flushed.inc(buffer_.size()));
-      buffer_.clear();
-    }
-    next_unsent_seq_ = next_send_seq_;
-    // Tell the receiver where the stream resumes (u64 payload), even when
-    // nothing was flushed — its cursor may predate the blackout.
-    std::uint8_t next[8];
-    const std::uint64_t next_seq = next_send_seq_;
-    std::memcpy(next, &next_seq, sizeof next);
-    (void)co_await transmit(0, MsgKind::kGapMark, next);
-    last_tx_progress_ = core_.engine().now();
-    co_return;
-  }
-  // kReplay: everything unacked goes out again, in seq order, via the
-  // drain path (a full-size message can exceed the fresh ring's credits in
+  // ring directions are fresh. Everything unacked goes out again, in seq
+  // order, via the drain path (a full-size message can exceed the fresh ring's credits in
   // one go; the drain stops at the first refusal and progress() resumes it).
   for (Pending& p : buffer_) {
     ++p.retransmits;
@@ -696,13 +702,13 @@ sim::Task<void> ReliableEndpoint::resend_window() {
 void ReliableEndpoint::arm_ack_timer() {
   // Delayed ACK: a one-shot engine task that publishes the cumulative ACK if
   // nothing else (piggyback, idle-edge push, threshold) has within
-  // cfg_.ack_delay. Arming is a host-side operation, so the delivery fast
+  // kAckDelay. Arming is a host-side operation, so the delivery fast
   // path pays nothing; the firing runs at an idle instant off every latency
   // path. The alive token covers an endpoint destroyed before it fires.
   if (ack_timer_armed_) return;
   ack_timer_armed_ = true;
   sim::Engine& eng = core_.engine();
-  ack_timer_ = eng.schedule_timer(cfg_.ack_delay, [this, &eng, alive = alive_] {
+  ack_timer_ = eng.schedule_timer(kAckDelay, [this, &eng, alive = alive_] {
     if (!*alive) return;
     ack_timer_armed_ = false;
     if (delivered_ != acked_out_) {
@@ -718,11 +724,11 @@ sim::Task<void> ReliableEndpoint::note_suppressed() {
   // retransmitting: our cumulative ACK may never have landed. Republish on
   // the FIRST suppressed packet since the last publish — recovery latency
   // identical to republishing every time — then batch further ones up to
-  // ack_threshold, so a CRC-storm flood of duplicates does not pay a
+  // kRelAckThreshold, so a CRC-storm flood of duplicates does not pay a
   // control store + sfence per packet.
   ++suppressed_since_ack_;
   const bool first = suppressed_since_ack_ == 1;
-  const bool batch = suppressed_since_ack_ >= cfg_.ack_threshold;
+  const bool batch = suppressed_since_ack_ >= kRelAckThreshold;
   if (!first && !batch) co_return;
   if (batch) suppressed_since_ack_ = 0;
   acked_out_ = delivered_ + 1;  // poison the cache -> real store
@@ -773,7 +779,7 @@ sim::Task<void> ReliableEndpoint::pump_process() {
     // threshold with no further recv() to piggyback on) — otherwise the
     // peer's window never drains and its stall detector spins forever.
     if (delivered_ != acked_out_) co_await publish_ack();
-    co_await core_.engine().delay(cfg_.pump_interval);
+    co_await core_.engine().delay(kPumpInterval);
   }
   pump_running_ = false;
 }

@@ -8,11 +8,11 @@
 // layer adds the software end-to-end reliability the APEnet+ split
 // prescribes (hardware link retry below, software sequencing above):
 //
-//  * every message carries a per-(peer, channel) sequence number, the
-//    sender's current membership epoch and the frame kind packed into the
-//    raw slot marker's high-half tag (MsgSlot) — the receive path already
-//    loads that word, so the reliability header costs zero extra
-//    uncacheable reads and zero payload bytes,
+//  * every message carries a per-(peer, channel) sequence number and the
+//    sender's current membership epoch packed into the raw slot marker's
+//    high-half tag (MsgSlot) — the receive path already loads that word,
+//    so the reliability header costs zero extra uncacheable reads and zero
+//    payload bytes,
 //  * the receiver publishes a cumulative delivered-count ACK into the ring
 //    control block (kRelAckOffset) — piggybacked on the same posted path as
 //    its own data, pushed standalone when the receive side idles or a
@@ -22,8 +22,7 @@
 //    (once its deadline passes) instead of ever overwriting unacked slots,
 //  * loss is detected as ACK stall against the simulated clock and healed by
 //    an epoch bump: both sides reset the raw rings, then the sender replays
-//    the retransmit buffer (kReplay, default) or discards it and publishes a
-//    gap marker (kFlush). Stale-epoch packets are discarded on receipt.
+//    the retransmit buffer. Stale-epoch packets are discarded on receipt.
 //
 // The epoch handshake doubles as the rejoin protocol: when the TcDriver
 // keepalive resurrects a dead peer (or the ACK stall detector fires during
@@ -50,16 +49,14 @@ namespace tcc::cluster {
 /// runs that never touch the reliability layer. No-op without telemetry.
 void register_reliable_metrics();
 
-/// What happens to the retransmit buffer when an epoch sync completes.
-enum class DeliveryPolicy {
-  kReplay,  ///< replay every unacked message in order (exactly-once survives)
-  kFlush,   ///< discard the buffer, publish a gap marker (bounded catch-up;
-            ///< the flushed messages are lost BY POLICY and counted)
-};
+/// Deliveries without a piggyback opportunity before a standalone ACK push
+/// (mirrors raw tcmsg's kAckThreshold). Also the batch size for republishing
+/// on a flood of suppressed duplicates.
+inline constexpr std::uint64_t kRelAckThreshold = 8;
 
-[[nodiscard]] const char* to_string(DeliveryPolicy p);
-
-/// Tuning knobs of one ReliableLibrary (shared by its endpoints).
+/// The knobs tests turn (wraparound, window pressure, fast stall recovery).
+/// Every other tcrel timing and sizing value is a named constant in
+/// reliable.cpp.
 struct RelConfig {
   /// Wire width of the sequence number (test knob for wraparound coverage).
   /// At most 16: the wire seq lives in the low half of the marker tag. The
@@ -76,57 +73,6 @@ struct RelConfig {
   /// (a resend cannot fill a hole a lost posted write left in the raw ring;
   /// only a ring reset can).
   int stall_sync_strikes = 3;
-  /// Throttle for the opportunistic progress checks (ack refresh, epoch
-  /// word poll) inside send/recv/poll loops.
-  Picoseconds progress_interval = Picoseconds::from_ns(500.0);
-  /// Background pump period (start_pump()); also the epoch republish beat.
-  Picoseconds pump_interval = Picoseconds::from_us(2.0);
-  /// Bound on any single raw-ring operation while a mutex is held, so an
-  /// epoch reset can always interleave with a wedged raw op.
-  Picoseconds raw_slice = Picoseconds::from_us(2.0);
-  /// Settle delay before a sync initiator resets its receive ring, letting
-  /// in-flight raw stores from the old epoch land (flight time is orders of
-  /// magnitude below every initiation trigger; this is belt-and-braces).
-  Picoseconds drain_delay = Picoseconds::from_ns(500.0);
-  /// Deliveries without a piggyback opportunity before a standalone ACK
-  /// push (mirrors raw tcmsg's kAckThreshold).
-  std::uint64_t ack_threshold = 8;
-  /// Batched-ACK hard cap: while a delivery burst is still draining (more
-  /// sub-messages decoded and queued at the raw layer), the ack_threshold
-  /// publish is deferred so the whole burst costs ONE control-block write —
-  /// but never past this many unacknowledged deliveries. Keep it below the
-  /// peer's window or a long burst could stall the sender mid-burst; the
-  /// delayed-ACK timer (ack_delay) bounds the deferral in time regardless.
-  std::uint64_t ack_batch_limit = 24;
-  /// Packed line-group coalescing in the transmit drain path: a run of
-  /// consecutive buffered messages each no larger than this is handed to
-  /// the raw ring as ONE group (one doorbell, one credit acquisition, one
-  /// sequence number at the slot level). Zero disables packing.
-  std::uint32_t pack_eligible_bytes = 256;
-  /// Cap on a packed group's region (record headers included). Bounds how
-  /// many ring credits one drain round can claim at once.
-  std::uint32_t pack_group_bytes = 1024;
-  /// Delayed-ACK bound: every delivery arms a one-shot timer; if nothing
-  /// else (piggyback, idle-edge push, threshold) has published the ACK by
-  /// then, the timer does. Keeps the delivery fast path free of ACK stores
-  /// while still covering a caller that stops calling recv() right after
-  /// the stream's last message.
-  Picoseconds ack_delay = Picoseconds::from_us(1.0);
-  /// Cadence for loading the peer's ACK word with sends outstanding but no
-  /// pressure (window under half full, no untransmitted backlog). Pressure
-  /// makes the refresh eager again; this only bounds how stale the stall
-  /// clock can run in a relaxed request/response exchange.
-  Picoseconds ack_refresh_interval = Picoseconds::from_us(2.0);
-  /// Throttle for polling the peer's epoch word while no sync is in flight
-  /// — it only changes around faults, so the hot loops should not pay a
-  /// 60 ns uncacheable load for it every progress beat.
-  Picoseconds epoch_interval = Picoseconds::from_us(2.0);
-  /// Consecutive out-of-order (future-seq) receptions before the receive
-  /// side concludes it missed a sync and initiates one itself.
-  int gap_sync_threshold = 64;
-  DeliveryPolicy policy = DeliveryPolicy::kReplay;
-  /// Cap on the per-endpoint diagnostics event log (trace export).
-  std::size_t max_events = 4096;
 };
 
 /// Per-endpoint counters (process-wide aggregates live in tccluster.rel.*).
@@ -140,7 +86,6 @@ struct RelStats {
   std::uint64_t gap_drops = 0;           ///< future-seq packets dropped awaiting replay
   std::uint64_t backpressure_stalls = 0; ///< send() returns of kBackpressure
   std::uint64_t epoch_bumps = 0;         ///< syncs this endpoint participated in
-  std::uint64_t flushed = 0;             ///< messages dropped by DeliveryPolicy::kFlush
   std::uint64_t acks_pushed = 0;         ///< standalone ACK word publishes
   std::uint64_t ack_deferrals = 0;       ///< threshold publishes deferred mid-burst
   std::uint64_t groups_sent = 0;         ///< packed line-groups handed to the ring
@@ -179,8 +124,8 @@ class ReliableEndpoint {
   /// with a `deadline` (absolute simulated time) a still-full window past
   /// it returns typed kBackpressure and the message is NOT accepted.
   /// Once send() returns OK the message is accepted: it stays in the
-  /// retransmit buffer and will be delivered exactly once (under kReplay)
-  /// however many faults intervene.
+  /// retransmit buffer and will be delivered exactly once however many
+  /// faults intervene.
   [[nodiscard]] sim::Task<Status> send(std::span<const std::uint8_t> payload,
                                        std::optional<Picoseconds> deadline = std::nullopt);
 
@@ -206,7 +151,7 @@ class ReliableEndpoint {
   [[nodiscard]] sim::Task<Status> flush(
       std::optional<Picoseconds> deadline = std::nullopt);
 
-  /// Spawn a background process that runs recovery every pump_interval —
+  /// Spawn a background process that runs recovery every kPumpInterval —
   /// only needed when neither side is inside send()/recv()/poll() for long
   /// stretches. Stop it before expecting engine().run() to drain.
   void start_pump();
@@ -232,21 +177,19 @@ class ReliableEndpoint {
     std::uint64_t retransmits = 0;
   };
 
-  enum class MsgKind : std::uint8_t { kData = 0, kGapMark = 1 };
-
   [[nodiscard]] std::uint64_t seq_mask() const {
     return (std::uint64_t{1} << cfg_.seq_bits) - 1;
   }
 
-  /// Pack seq/epoch/kind/seq_bits into the raw marker tag (layout in
+  /// Pack seq/epoch/seq_bits into the raw marker tag (layout in
   /// reliable.cpp).
-  [[nodiscard]] std::uint32_t make_tag(std::uint64_t seq, MsgKind kind) const;
+  [[nodiscard]] std::uint32_t make_tag(std::uint64_t seq) const;
 
   /// Raw-send one message with the rel tag; caller holds the tx mutex.
   /// Returns false when the raw layer would not take it (ring full / link
-  /// dead within the raw_slice) — the message stays buffered and
+  /// dead within kRawSlice) — the message stays buffered and
   /// drain_unsent() re-attempts it as credits return.
-  [[nodiscard]] sim::Task<bool> transmit(std::uint64_t seq, MsgKind kind,
+  [[nodiscard]] sim::Task<bool> transmit(std::uint64_t seq,
                                          std::span<const std::uint8_t> payload);
 
   /// Raw-send a run of consecutive buffered messages as ONE packed
@@ -262,7 +205,7 @@ class ReliableEndpoint {
   /// is retransmitting, i.e. our cumulative ACK may have died on the wire.
   /// Counts toward the ACK-refresh opportunity check — the first suppressed
   /// packet since the last publish republishes immediately, later ones
-  /// batch up to ack_threshold so a CRC-storm duplicate flood does not pay
+  /// batch up to kRelAckThreshold so a CRC-storm duplicate flood does not pay
   /// a control store + sfence per packet.
   [[nodiscard]] sim::Task<void> note_suppressed();
 
@@ -273,7 +216,7 @@ class ReliableEndpoint {
   /// later message is never raw-sent ahead of an earlier refusal.
   [[nodiscard]] sim::Task<void> drain_unsent();
 
-  /// Opportunistic recovery step, throttled to cfg_.progress_interval:
+  /// Opportunistic recovery step, throttled to kProgressInterval:
   /// refresh the peer ACK word, poll the peer epoch word (adopt / complete
   /// syncs), detect ACK stalls and keepalive rejoin edges, republish while
   /// syncing.

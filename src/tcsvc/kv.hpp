@@ -22,10 +22,9 @@
 //    verdict that declares the primary dead is the same edge that bumps
 //    the tcrel membership epoch, so a promoted replica starts serving in
 //    the first epoch after the fault. In-flight client frames ride tcrel's
-//    DeliveryPolicy::kReplay across the bump; writes the dead primary
+//    replay of its unacked window across the bump; writes the dead primary
 //    never acked surface as client timeouts and are retried against the
-//    replica (kFlush trades that replay for bounded catch-up — same knob,
-//    RelConfig::policy).
+//    replica.
 //  * the replica promotes itself per-request ("acting primary": configured
 //    primary, or replica while the primary is judged dead) and the client
 //    routes the same way, so there is no separate view-change protocol to

@@ -26,6 +26,16 @@ namespace tcc::tcsvc {
 
 namespace {
 
+/// Payload budget per kMemChunk frame (bounded stream: the source yields the
+/// wire between chunks, so migration never monopolizes a ring).
+constexpr std::uint32_t kChunkBytes = 2048;
+/// Budget of one control frame (prepare/commit/chunk).
+constexpr Picoseconds kControlDeadline = Picoseconds::from_us(200.0);
+/// Budget of one full shard stream (kMemMigrate call).
+constexpr Picoseconds kMigrateDeadline = Picoseconds::from_us(4000.0);
+/// Budget of one whole rebalance (join/leave round-trip deadline).
+constexpr Picoseconds kRebalanceDeadline = Picoseconds::from_us(20000.0);
+
 void put_u16(std::vector<std::uint8_t>& out, std::uint16_t v) {
   const std::size_t at = out.size();
   out.resize(at + 2);
@@ -146,8 +156,8 @@ std::vector<ShardMove> placement_moves(const ShardMap& from, const ShardMap& to,
 // -------------------------------------------------------- MembershipAgent --
 
 MembershipAgent::MembershipAgent(cluster::TcCluster& cluster, RpcNode& rpc,
-                                 ShardMap initial, MembershipConfig cfg)
-    : cluster_(cluster), rpc_(rpc), cfg_(cfg), map_(std::move(initial)) {}
+                                 ShardMap initial)
+    : cluster_(cluster), rpc_(rpc), map_(std::move(initial)) {}
 
 void MembershipAgent::start() {
   rpc_.handle(kMemPrepare,
@@ -264,7 +274,7 @@ sim::Task<Result<std::vector<std::uint8_t>>> MembershipAgent::on_migrate(
   std::string cursor;
   std::uint64_t sent = 0;
   for (;;) {
-    const auto entries = svc_->export_shard(shard, cursor, cfg_.chunk_bytes);
+    const auto entries = svc_->export_shard(shard, cursor, kChunkBytes);
     if (entries.empty()) break;
     std::vector<std::uint8_t> chunk;
     put_u32(chunk, static_cast<std::uint32_t>(shard));
@@ -280,7 +290,7 @@ sim::Task<Result<std::vector<std::uint8_t>>> MembershipAgent::on_migrate(
     CallOptions opts;
     opts.channel = kMembershipChannel;
     opts.deadline = std::min(ctx.deadline,
-                             cluster_.engine().now() + cfg_.control_deadline);
+                             cluster_.engine().now() + kControlDeadline);
     auto sent_r = co_await rpc_.call(target, kMemChunk, chunk, opts);
     if (!sent_r.ok()) co_return sent_r.error();
     cursor = entries.back().key;
@@ -292,14 +302,14 @@ sim::Task<Result<std::vector<std::uint8_t>>> MembershipAgent::on_migrate(
   // record present when the stream started travels; records created after
   // PREPARE are placed on the target by the store's own dual-write path.
   if (aux_ != nullptr) {
-    for (const auto& blob : aux_->export_aux(shard, cfg_.chunk_bytes)) {
+    for (const auto& blob : aux_->export_aux(shard, kChunkBytes)) {
       std::vector<std::uint8_t> frame;
       put_u32(frame, static_cast<std::uint32_t>(shard));
       frame.insert(frame.end(), blob.begin(), blob.end());
       CallOptions opts;
       opts.channel = kMembershipChannel;
       opts.deadline = std::min(ctx.deadline,
-                               cluster_.engine().now() + cfg_.control_deadline);
+                               cluster_.engine().now() + kControlDeadline);
       auto aux_r = co_await rpc_.call(target, kMemAux, frame, opts);
       if (!aux_r.ok()) co_return aux_r.error();
       ++stats_.aux_out;
@@ -394,7 +404,7 @@ sim::Task<Result<std::vector<std::uint8_t>>> MembershipAgent::on_commit(
 sim::Task<Status> MembershipAgent::request_join(int coordinator) {
   CallOptions opts;
   opts.channel = kMembershipChannel;
-  opts.deadline = cluster_.engine().now() + cfg_.rebalance_deadline;
+  opts.deadline = cluster_.engine().now() + kRebalanceDeadline;
   auto r = co_await rpc_.call(coordinator, kMemJoin, encode_chip(chip()), opts);
   co_return r.ok() ? Status{} : r.error();
 }
@@ -402,7 +412,7 @@ sim::Task<Status> MembershipAgent::request_join(int coordinator) {
 sim::Task<Status> MembershipAgent::request_leave(int coordinator) {
   CallOptions opts;
   opts.channel = kMembershipChannel;
-  opts.deadline = cluster_.engine().now() + cfg_.rebalance_deadline;
+  opts.deadline = cluster_.engine().now() + kRebalanceDeadline;
   auto r = co_await rpc_.call(coordinator, kMemLeave, encode_chip(chip()), opts);
   co_return r.ok() ? Status{} : r.error();
 }
@@ -555,7 +565,7 @@ sim::Task<Status> MembershipCoordinator::rebalance_to(
     for (int t : targets) {
       CallOptions opts;
       opts.channel = kMembershipChannel;
-      opts.deadline = engine.now() + cfg_.control_deadline;
+      opts.deadline = engine.now() + kControlDeadline;
       auto r = co_await self_.rpc_.call(t, method, body, opts);
       if (!r.ok() && t != leaving) {
         co_return make_error(r.error().code,
@@ -579,7 +589,7 @@ sim::Task<Status> MembershipCoordinator::rebalance_to(
   for (const ShardMove& m : moves) {
     CallOptions opts;
     opts.channel = kMembershipChannel;
-    opts.deadline = engine.now() + cfg_.migrate_deadline;
+    opts.deadline = engine.now() + kMigrateDeadline;
     auto r = co_await self_.rpc_.call(m.source, kMemMigrate,
                                       encode_migrate(m.shard, m.target), opts);
     if (!r.ok()) {

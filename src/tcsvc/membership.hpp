@@ -59,15 +59,6 @@ inline constexpr std::uint16_t kMemCommit = 21;   ///< coordinator -> agents
 inline constexpr std::uint16_t kMemAux = 22;      ///< stream source -> target
 
 struct MembershipConfig {
-  /// Payload budget per kMemChunk frame (bounded stream: the source yields
-  /// the wire between chunks, so migration never monopolizes a ring).
-  std::uint32_t chunk_bytes = 2048;
-  /// Budget of one control frame (prepare/commit/chunk).
-  Picoseconds control_deadline = Picoseconds::from_us(200.0);
-  /// Budget of one full shard stream (kMemMigrate call).
-  Picoseconds migrate_deadline = Picoseconds::from_us(4000.0);
-  /// Budget of one whole rebalance (join/leave round-trip deadline).
-  Picoseconds rebalance_deadline = Picoseconds::from_us(20000.0);
   /// Evict a server automatically when the coordinator's keepalive declares
   /// it dead (replica promotion + re-seed onto a replacement).
   bool auto_heal = true;
@@ -127,8 +118,7 @@ class MembershipAgent {
  public:
   /// `initial` is the epoch-0 placement every participant boots with (same
   /// ShardMap::from_plan call everywhere — deterministic).
-  MembershipAgent(cluster::TcCluster& cluster, RpcNode& rpc, ShardMap initial,
-                  MembershipConfig cfg = {});
+  MembershipAgent(cluster::TcCluster& cluster, RpcNode& rpc, ShardMap initial);
 
   MembershipAgent(const MembershipAgent&) = delete;
   MembershipAgent& operator=(const MembershipAgent&) = delete;
@@ -185,7 +175,6 @@ class MembershipAgent {
 
   cluster::TcCluster& cluster_;
   RpcNode& rpc_;
-  MembershipConfig cfg_;
   ShardMap map_;
   std::uint64_t epoch_ = 0;
   std::uint64_t pending_epoch_ = 0;

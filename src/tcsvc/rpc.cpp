@@ -65,6 +65,14 @@ RpcHeader RpcHeader::decode(const std::uint8_t* in) {
 
 // --------------------------------------------------------------- RpcNode --
 
+namespace {
+/// Receive-slice of the per-peer serve pump: how often it wakes to notice
+/// stop() and run tcrel recovery while a peer idles.
+constexpr Picoseconds kServeSlice = Picoseconds::from_us(5.0);
+/// Cap on the per-peer cancelled-correlation set (FIFO eviction).
+constexpr std::size_t kMaxCancelled = 1024;
+}  // namespace
+
 RpcNode::RpcNode(cluster::TcCluster& cluster, int chip, RpcConfig cfg)
     : cluster_(cluster), chip_(chip), cfg_(cfg) {
   TCC_ASSERT(cfg_.request_credits > 0, "request_credits must be positive");
@@ -133,12 +141,12 @@ Result<RpcNode::PeerState*> RpcNode::peer_state(int peer) {
 sim::Task<void> RpcNode::pump(PeerState* ps, int peer) {
   sim::Engine& engine = cluster_.engine();
   while (!stopped_) {
-    auto r = co_await ps->ep->recv(engine.now() + cfg_.serve_slice);
+    auto r = co_await ps->ep->recv(engine.now() + kServeSlice);
     if (!r.ok()) {
       if (r.error().code == ErrorCode::kTimeout) continue;  // idle slice
       // Transient raw-layer trouble (ring reset mid-recv, dead link): back
       // off one slice; tcrel recovery runs inside the next recv().
-      co_await engine.delay(cfg_.serve_slice);
+      co_await engine.delay(kServeSlice);
       continue;
     }
     dispatch(ps, peer, std::move(r).value());
@@ -245,7 +253,7 @@ sim::Task<void> RpcNode::serve(PeerState* ps, int peer,
 
 void RpcNode::note_cancel(PeerState* ps, std::uint32_t corr) {
   if (ps->cancelled.insert(corr).second) ps->cancelled_order.push_back(corr);
-  while (ps->cancelled.size() > cfg_.max_cancelled && !ps->cancelled_order.empty()) {
+  while (ps->cancelled.size() > kMaxCancelled && !ps->cancelled_order.empty()) {
     ps->cancelled.erase(ps->cancelled_order.front());
     ps->cancelled_order.pop_front();
   }
@@ -256,7 +264,7 @@ sim::Task<Result<std::vector<std::uint8_t>>> RpcNode::dispatch_local(
   sim::Engine& engine = cluster_.engine();
   const Picoseconds start = engine.now();
   const Picoseconds deadline =
-      opts.deadline.value_or(start + cfg_.default_deadline);
+      opts.deadline.value_or(start + kDefaultCallDeadline);
   Result<std::vector<std::uint8_t>> result =
       make_error(ErrorCode::kNotFound, "no such method");
   auto handler = handlers_.find(method);
@@ -291,7 +299,7 @@ sim::Task<Result<std::vector<std::uint8_t>>> RpcNode::call(
 
   const Picoseconds start = engine.now();
   const Picoseconds deadline =
-      opts.deadline.value_or(start + cfg_.default_deadline);
+      opts.deadline.value_or(start + kDefaultCallDeadline);
   auto ps_result = peer_state(peer);
   if (!ps_result.ok()) co_return ps_result.error();
   PeerState* ps = ps_result.value();
@@ -401,11 +409,11 @@ sim::Task<Result<std::vector<std::uint8_t>>> RpcNode::call(
   cancel.channel = opts.channel;
   cancel.method = method;
   cancel.corr = corr;
-  cancel.deadline_ps = (engine.now() + cfg_.serve_slice).count();
+  cancel.deadline_ps = (engine.now() + kServeSlice).count();
   ++stats_.cancels_sent;
   TCC_METRIC(detail::metrics().rpc_cancels.inc());
   engine.spawn_fn([alive = alive_, ps, cancel,
-                   until = engine.now() + cfg_.serve_slice]() -> sim::Task<void> {
+                   until = engine.now() + kServeSlice]() -> sim::Task<void> {
     if (!*alive) co_return;
     (void)co_await ps->ep->send(make_frame(cancel, {}), until);
   });

@@ -62,22 +62,16 @@ inline constexpr std::uint8_t kClientChannel = 0;
 inline constexpr std::uint8_t kReplicationChannel = 1;
 inline constexpr std::uint8_t kMembershipChannel = 2;
 
+/// Deadline for calls that do not pass their own (relative to call time).
+inline constexpr Picoseconds kDefaultCallDeadline = Picoseconds::from_us(500.0);
+
 /// Tuning knobs of one RpcNode.
 struct RpcConfig {
   /// Outstanding-call window per peer; a call with no credit by its
   /// deadline returns typed kBackpressure.
   int request_credits = 16;
-  /// Deadline for calls that do not pass their own (relative to call time).
-  Picoseconds default_deadline = Picoseconds::from_us(500.0);
-  /// Receive-slice of the per-peer serve pump: how often it wakes to notice
-  /// stop() and run tcrel recovery while a peer idles.
-  Picoseconds serve_slice = Picoseconds::from_us(5.0);
-  /// Poll period while waiting for a request credit.
-  Picoseconds credit_poll = Picoseconds::from_ns(500.0);
   /// Cap on the per-node span log (Perfetto export); drops are counted.
   std::size_t max_spans = 4096;
-  /// Cap on the per-peer cancelled-correlation set (FIFO eviction).
-  std::size_t max_cancelled = 1024;
 };
 
 /// Per-node counters (process-wide aggregates live in tcsvc.rpc.*).
@@ -117,7 +111,7 @@ struct RpcContext {
 /// Per-call options.
 struct CallOptions {
   std::uint8_t channel = 0;
-  /// Absolute deadline; RpcConfig::default_deadline from now when absent.
+  /// Absolute deadline; kDefaultCallDeadline from now when absent.
   std::optional<Picoseconds> deadline;
 };
 
@@ -153,7 +147,7 @@ class RpcNode {
   /// before the first outbound call.
   Status start(std::span<const int> peers);
 
-  /// Stop every serve pump (they exit within one serve_slice) so
+  /// Stop every serve pump (they exit within one serve slice) so
   /// engine().run() can drain. In-flight handler tasks still finish.
   void stop() { stopped_ = true; }
   [[nodiscard]] bool stopped() const { return stopped_; }

@@ -19,7 +19,7 @@ std::string ps_to_us(std::int64_t ps) {
 
 std::pair<std::string, std::string> ChromeTraceWriter::arg_str(std::string k,
                                                                const std::string& v) {
-  return {std::move(k), "\"" + json_escape(v) + "\""};
+  return {std::move(k), json_quote(v)};
 }
 
 std::pair<std::string, std::string> ChromeTraceWriter::arg_num(std::string k, double v) {
@@ -52,7 +52,9 @@ void ChromeTraceWriter::push_event(char ph, int pid, int tid, std::int64_t ts_ps
     for (const auto& [k, v] : args) {
       if (!first) e += ',';
       first = false;
-      e += "\"" + json_escape(k) + "\":" + v;
+      e += json_quote(k);
+      e += ':';
+      e += v;
     }
     e += "}";
   }

@@ -31,6 +31,13 @@ std::string json_escape(const std::string& s) {
   return out;
 }
 
+std::string json_quote(const std::string& s) {
+  std::string out = "\"";
+  out += json_escape(s);
+  out += '"';
+  return out;
+}
+
 std::string json_number(double v) {
   if (!std::isfinite(v)) return "null";
   char buf[32];

@@ -16,6 +16,9 @@ namespace tcc::telemetry {
 /// Escape a string for embedding inside JSON double quotes.
 [[nodiscard]] std::string json_escape(const std::string& s);
 
+/// A complete JSON string literal: json_escape(s) inside double quotes.
+[[nodiscard]] std::string json_quote(const std::string& s);
+
 /// Format a double the way JSON requires: finite values as shortest
 /// round-trippable decimal, non-finite values as null (JSON has no inf/nan).
 [[nodiscard]] std::string json_number(double v);

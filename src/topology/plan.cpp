@@ -91,8 +91,7 @@ constexpr Direction positive_dir(int dim) { return static_cast<Direction>(2 * di
 /// or nullopt when the coordinates already agree. On a wrapped dimension the
 /// shorter way around wins, ties towards the positive direction; every hop
 /// taken this way strictly decreases the remaining cyclic distance, which is
-/// the loop-freedom argument for both the dimension-ordered tables and the
-/// adaptive escapes.
+/// the loop-freedom argument for the dimension-ordered tables.
 std::optional<Direction> dim_direction(const Dims& dims, int dim, int from, int to) {
   if (from == to) return std::nullopt;
   const Dim& d = dims.d[static_cast<std::size_t>(dim)];
@@ -540,7 +539,6 @@ Result<ClusterPlan> ClusterPlan::build(const ClusterConfig& config) {
       }
     }
     const SupernodePlan& sn = plan.supernodes_[static_cast<std::size_t>(s)];
-    const auto cs = coords_of(dims, s);
 
     // Resolve runs to (byte range, external port) segments. On a cable the
     // single remote run is striped across the aggregated links (§V).
@@ -548,23 +546,7 @@ Result<ClusterPlan> ClusterPlan::build(const ClusterConfig& config) {
       AddrRange bytes;
       PortRef port;
     };
-    // Adaptive escape hints, collected separately at SUB-run granularity:
-    // an escape hop must be minimal for every target it covers, or a packet
-    // could be pushed off its shortest path and livelock. At whole-run
-    // granularity such a direction rarely exists — a Z-routed run spans
-    // targets whose minimal Y (or X) direction flips sign partway through —
-    // so each run is split wherever the per-target minimal alternate
-    // changes (the row-major layout keeps those groups contiguous). Each
-    // sub-run's escape hop still strictly decreases the remaining torus
-    // distance for every covered target, preserving the no-livelock
-    // argument.
-    struct Escape {
-      AddrRange bytes;
-      PortRef primary;
-      PortRef alt;
-    };
     std::vector<Segment> segments;
-    std::vector<Escape> escapes;
     for (const Run& run : runs) {
       const AddrRange bytes{
           PhysAddr{config.global_base + static_cast<std::uint64_t>(run.first) * sn_bytes},
@@ -585,41 +567,6 @@ Result<ClusterPlan> ClusterPlan::build(const ClusterConfig& config) {
         const auto& port = sn.external[static_cast<std::size_t>(run.dir)];
         TCC_ASSERT(port.has_value(), "direction in use but no external port planned");
         segments.push_back(Segment{bytes, *port});
-        if (config.adaptive_routing) {
-          const int primary_dim = static_cast<int>(run.dir) / 2;
-          // Minimal alternate direction for one target: the outermost
-          // non-primary dimension still in disagreement.
-          auto alt_for = [&](int t) -> std::optional<Direction> {
-            const auto ct = coords_of(dims, t);
-            for (int d = dims.count - 1; d >= 0; --d) {
-              if (d == primary_dim) continue;
-              if (auto dir = dim_direction(dims, d, cs[static_cast<std::size_t>(d)],
-                                           ct[static_cast<std::size_t>(d)])) {
-                if (sn.external[static_cast<std::size_t>(*dir)]) return dir;
-              }
-            }
-            return std::nullopt;
-          };
-          int sub_first = run.first;
-          std::optional<Direction> sub_dir = alt_for(run.first);
-          auto flush = [&](int sub_last) {
-            if (!sub_dir) return;
-            escapes.push_back(Escape{
-                AddrRange{PhysAddr{config.global_base +
-                                   static_cast<std::uint64_t>(sub_first) * sn_bytes},
-                          static_cast<std::uint64_t>(sub_last - sub_first + 1) * sn_bytes},
-                *port, *sn.external[static_cast<std::size_t>(*sub_dir)]});
-          };
-          for (int t = run.first + 1; t <= run.last; ++t) {
-            const auto dir = alt_for(t);
-            if (dir != sub_dir) {
-              flush(t - 1);
-              sub_first = t;
-              sub_dir = dir;
-            }
-          }
-          flush(run.last);
-        }
       }
     }
 
@@ -650,18 +597,6 @@ Result<ClusterPlan> ClusterPlan::build(const ClusterConfig& config) {
       }
       if (Status st = assign_chip_ranges(cp, chip_segments, k); !st.ok()) {
         return st.error();
-      }
-      for (const Escape& esc : escapes) {
-        // Only the chip owning the alternate external port gets the hint:
-        // an escape must actually bypass the congested egress over a
-        // different wire, not bounce the packet around the local coherent
-        // fabric.
-        if (esc.alt.chip != cp.chip) continue;
-        const int primary = resolve(esc.primary);
-        if (esc.alt.port == primary) continue;  // same egress: no diversity
-        if (static_cast<int>(cp.adaptive.size()) >= kMmioRegisterBudget) break;
-        cp.adaptive.push_back(
-            ChipPlan::AdaptiveHint{esc.bytes, primary, esc.alt.port});
       }
     }
   }
@@ -844,10 +779,6 @@ Result<ClusterPlan> ClusterPlan::route_around(
   ClusterPlan degraded = *this;
   for (ChipPlan& cp : degraded.chips_) {
     cp.unreachable_supernodes.clear();
-    // Adaptive escape hints encode alternate minimal paths of the HEALTHY
-    // fabric; after a reroute their minimality argument no longer holds, so
-    // degraded plans run pure dimension-order detours.
-    cp.adaptive.clear();
   }
   std::string unreachable;
   auto note_unreachable = [&](const std::string& what) {

@@ -85,15 +85,8 @@ struct ClusterConfig {
   /// fault-stream seed per wire from it, so two links never replay the same
   /// CRC fault sequence, while the whole cluster stays reproducible.
   std::uint64_t seed = 0x7cc;
-  ht::LinkFreq link_freq = ht::LinkFreq::kHt800;
   ht::LinkMedium external_medium{.length_inches = 24.0, .coax_cable = true};
   ht::LinkMedium internal_medium{.length_inches = 6.0, .coax_cable = false};
-  /// Opt-in adaptive escape routing: the planner additionally emits, per
-  /// MMIO interval that has one, an alternate *minimal* egress port valid
-  /// for every address in the interval. The northbridge takes the alternate
-  /// only when the primary egress queue would block, so escapes stay
-  /// livelock-free (every hop still strictly decreases distance).
-  bool adaptive_routing = false;
 
   [[nodiscard]] bool is_2d() const {
     return shape == ClusterShape::kMesh2D || shape == ClusterShape::kTorus2D;
@@ -160,15 +153,6 @@ struct ChipPlan {
     int port = -1;     ///< resolved egress port (for pure next_hop eval)
   };
   std::vector<DramRoute> dram_routes;
-
-  /// Opt-in adaptive escape hints (ClusterConfig::adaptive_routing): an
-  /// alternate egress that is minimal for *every* address in `range`.
-  struct AdaptiveHint {
-    AddrRange range;
-    int primary_port = -1;
-    int alt_port = -1;
-  };
-  std::vector<AdaptiveHint> adaptive;
 
   /// Supernodes this chip cannot reach after a best-effort route_around.
   /// next_hop() answers kUnavailable for their addresses. Empty on healthy

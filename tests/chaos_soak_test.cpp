@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "common/rng.hpp"
+#include "common/strings.hpp"
 #include "tccluster/cluster.hpp"
 #include "tccluster/diag.hpp"
 #include "tcsvc/kv.hpp"
@@ -515,7 +516,7 @@ void run_store_soak(std::uint64_t seed) {
   // double-applied.
   const tcsvc::ShardMap& final_map = agents[0]->map();
   for (int k = 0; k < kIncrKeys; ++k) {
-    const std::string key = "c" + std::to_string(k);
+    const std::string key = strprintf("c%d", k);
     const std::uint64_t lo = acked.count(key) ? acked[key] : 0;
     const std::uint64_t hi = lo + (ambiguous.count(key) ? ambiguous[key] : 0);
     if (lo == 0 && hi == 0) continue;  // never targeted under this seed

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "coherence/probe_domain.hpp"
+#include "common/strings.hpp"
 
 namespace tcc::coherence {
 namespace {
@@ -156,7 +157,7 @@ TEST_P(ProbeSimVsModel, SimulatedLatencyTracksAnalyticModel) {
 
 INSTANTIATE_TEST_SUITE_P(Sizes, ProbeSimVsModel, ::testing::Values(2, 4, 8, 16, 32),
                          [](const auto& info) {
-                           return "n" + std::to_string(info.param);
+                           return strprintf("n%d", info.param);
                          });
 
 TEST(ProbeDomain, SimulationIsDeterministic) {

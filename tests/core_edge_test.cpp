@@ -13,7 +13,7 @@ constexpr std::uint64_t kBase = 4_GiB;
 
 struct SoloChip : ::testing::Test {
   sim::Engine engine;
-  OpteronChip chip{engine, ChipConfig{.name = "solo", .dram_bytes = 16_MiB}};
+  OpteronChip chip{engine, ChipConfig{.name = "solo"}};
 
   void SetUp() override {
     chip.set_dram_window(AddrRange{PhysAddr{kBase}, 16_MiB});
@@ -162,8 +162,8 @@ TEST(LinkNegotiation, MalformedPacketIsRejectedAtSend) {
 
 TEST(LinkNegotiation, WarmResetRequiresRetraining) {
   sim::Engine e;
-  OpteronChip c0{e, ChipConfig{.name = "c0", .dram_bytes = 8_MiB}};
-  OpteronChip c1{e, ChipConfig{.name = "c1", .dram_bytes = 8_MiB}};
+  OpteronChip c0{e, ChipConfig{.name = "c0"}};
+  OpteronChip c1{e, ChipConfig{.name = "c1"}};
   ht::HtLink link(e, c0.endpoint(0), c1.endpoint(0));
   link.train();
   EXPECT_TRUE(c0.endpoint(0).regs().init_complete);
@@ -184,8 +184,8 @@ TEST(TagPool, MoreOutstandingReadsThanTagsAllComplete) {
   // 48 concurrent single-read processes against 32 response tags: the pool
   // must block excess requesters, recycle tags, and finish everything.
   sim::Engine engine;
-  OpteronChip a{engine, ChipConfig{.name = "a", .dram_bytes = 16_MiB}};
-  OpteronChip b{engine, ChipConfig{.name = "b", .dram_bytes = 16_MiB}};
+  OpteronChip a{engine, ChipConfig{.name = "a"}};
+  OpteronChip b{engine, ChipConfig{.name = "b"}};
   ht::HtLink link(engine, a.endpoint(0), b.endpoint(0));
   link.train();  // coherent pair
   const AddrRange dram_a{PhysAddr{kBase}, 16_MiB};

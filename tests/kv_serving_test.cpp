@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "common/strings.hpp"
 #include "tcsvc/kv.hpp"
 #include "tcsvc/load.hpp"
 #include "tcsvc/rpc.hpp"
@@ -403,7 +404,7 @@ TEST(KvService, ServesAndReplicatesFaultFree) {
     auto& replica = rig.services[static_cast<std::size_t>(map.replica(shard))];
     auto copy = replica->peek(key);
     ASSERT_TRUE(copy.has_value()) << key << " missing on its replica";
-    EXPECT_EQ(*copy, bytes_of("v" + std::to_string(i)));
+    EXPECT_EQ(*copy, bytes_of(strprintf("v%d", i)));
     ++replicated;
   }
   EXPECT_EQ(replicated, static_cast<std::uint64_t>(keys));

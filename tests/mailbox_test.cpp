@@ -10,6 +10,7 @@
 #include <string>
 #include <vector>
 
+#include "common/strings.hpp"
 #include "tcsvc/kv.hpp"
 #include "tcsvc/membership.hpp"
 #include "tcsvc/rpc.hpp"
@@ -369,7 +370,7 @@ TEST(MailboxMembership, FifoHoldsAcrossJoinEpochBump) {
     const tcsvc::ShardMap& m = agents[0]->map();
     std::string joiner_name;
     for (int i = 0; i < 4000 && joiner_name.empty(); ++i) {
-      std::string cand = "j" + std::to_string(i);
+      std::string cand = strprintf("j%d", i);
       if (m.primary(m.shard_of(cand)) == 4) joiner_name = std::move(cand);
     }
     EXPECT_FALSE(joiner_name.empty());

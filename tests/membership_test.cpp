@@ -155,7 +155,7 @@ MemRig make_mem_rig(bool auto_heal = true, int shards = 16) {
   for (int chip : rig.participants) {
     auto& agent = rig.agents[static_cast<std::size_t>(chip)];
     agent = std::make_unique<tcsvc::MembershipAgent>(
-        *rig.cl, *rig.nodes[static_cast<std::size_t>(chip)], map, mem_cfg);
+        *rig.cl, *rig.nodes[static_cast<std::size_t>(chip)], map);
     agent->start();
     agent->attach_service(rig.services[static_cast<std::size_t>(chip)].get());
   }

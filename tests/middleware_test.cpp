@@ -5,6 +5,7 @@
 #include <cstring>
 #include <numeric>
 
+#include "common/strings.hpp"
 #include "middleware/pgas.hpp"
 
 namespace tcc::middleware {
@@ -172,7 +173,7 @@ TEST_P(CollectiveSweep, BarrierBcastReduceGatherAlltoall) {
 
 INSTANTIATE_TEST_SUITE_P(Sizes, CollectiveSweep, ::testing::Values(2, 3, 4, 5, 8),
                          [](const auto& info) {
-                           return "n" + std::to_string(info.param);
+                           return strprintf("n%d", info.param);
                          });
 
 TEST(Tcpgas, PutGetBarrierAcrossNodes) {

@@ -16,9 +16,9 @@ constexpr std::uint64_t kSize = 64_MiB;
 /// Three chips in a chain: n0 -(L1:L0)- n1 -(L1:L0)- n2, hand-programmed.
 struct ChainFixture : ::testing::Test {
   sim::Engine engine;
-  OpteronChip n0{engine, ChipConfig{.name = "n0", .dram_bytes = kSize}};
-  OpteronChip n1{engine, ChipConfig{.name = "n1", .dram_bytes = kSize}};
-  OpteronChip n2{engine, ChipConfig{.name = "n2", .dram_bytes = kSize}};
+  OpteronChip n0{engine, ChipConfig{.name = "n0"}};
+  OpteronChip n1{engine, ChipConfig{.name = "n1"}};
+  OpteronChip n2{engine, ChipConfig{.name = "n2"}};
   ht::HtLink l01{engine, n0.endpoint(1), n1.endpoint(0)};
   ht::HtLink l12{engine, n1.endpoint(1), n2.endpoint(0)};
 
@@ -175,8 +175,8 @@ TEST_F(ChainFixture, OutboundQueueBackpressuresTheCore) {
 
 struct PairFixture : ::testing::Test {
   sim::Engine engine;
-  OpteronChip a{engine, ChipConfig{.name = "a", .dram_bytes = kSize}};
-  OpteronChip b{engine, ChipConfig{.name = "b", .dram_bytes = kSize}};
+  OpteronChip a{engine, ChipConfig{.name = "a"}};
+  OpteronChip b{engine, ChipConfig{.name = "b"}};
   ht::HtLink link{engine, a.endpoint(0), b.endpoint(0)};
 
   AddrRange dram_a{PhysAddr{kBase0}, kSize};

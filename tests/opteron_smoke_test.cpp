@@ -18,8 +18,8 @@ constexpr std::uint64_t kNode1Base = kNode0Base + kNodeBytes;
 /// Two-node TCCluster wired by hand: the register state §IV.C/§IV.D describe.
 struct TwoNodeFixture : ::testing::Test {
   sim::Engine engine;
-  OpteronChip n0{engine, ChipConfig{.name = "n0", .dram_bytes = kNodeBytes}};
-  OpteronChip n1{engine, ChipConfig{.name = "n1", .dram_bytes = kNodeBytes}};
+  OpteronChip n0{engine, ChipConfig{.name = "n0"}};
+  OpteronChip n1{engine, ChipConfig{.name = "n1"}};
   ht::HtLink link{engine, n0.endpoint(1), n1.endpoint(1)};
 
   AddrRange dram0{PhysAddr{kNode0Base}, kNodeBytes};

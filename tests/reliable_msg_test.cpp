@@ -227,6 +227,8 @@ TEST(TcRel, BackpressuredBurstsDrainInStrictSeqOrder) {
   EXPECT_EQ(tx->epoch(), 0u) << "a fault-free drain needs no epoch sync";
   EXPECT_EQ(tx->stats().retransmits, 0u)
       << "the backlog must move via drain_unsent(), not stall resends";
+  EXPECT_GT(tx->stats().groups_sent, 0u)
+      << "a backlog of 8-byte messages must drain as packed line-groups";
 }
 
 TEST(TcRel, SuppressedDuplicateRepublishesASwallowedAck) {

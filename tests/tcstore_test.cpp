@@ -16,6 +16,7 @@
 #include <string>
 #include <vector>
 
+#include "common/strings.hpp"
 #include "tcsvc/kv.hpp"
 #include "tcsvc/membership.hpp"
 #include "tcsvc/rpc.hpp"
@@ -188,7 +189,7 @@ TEST(IsolationGuard, RefusesSingleCopyAckWhenEveryOtherServerLooksDead) {
   // A key whose shard chip 1 takes over once its primary (2 or 3) is dead.
   std::string key;
   for (int i = 0; key.empty(); ++i) {
-    const std::string k = "iso" + std::to_string(i);
+    const std::string k = strprintf("iso%d", i);
     if (rig.map.replica(rig.map.shard_of(k)) == 1) key = k;
   }
   auto judged_dead = [&](int observer) {
@@ -371,7 +372,7 @@ TEST(StoreScan, OrderedPagedAndRangeBounded) {
   const int shard = rig.map.shard_of("scan0");
   std::vector<std::string> keys;
   for (int i = 0; keys.size() < 24 && i < 4000; ++i) {
-    std::string k = "scan" + std::to_string(i);
+    std::string k = strprintf("scan%d", i);
     if (rig.map.shard_of(k) == shard) keys.push_back(std::move(k));
   }
   ASSERT_EQ(keys.size(), 24u);
@@ -389,7 +390,7 @@ TEST(StoreScan, OrderedPagedAndRangeBounded) {
     // Two short-TTL keys in the same shard: scans must skip them once expired.
     int planted = 0;
     for (int i = 4000; planted < 2 && i < 8000; ++i) {
-      const std::string k = "scan" + std::to_string(i);
+      const std::string k = strprintf("scan%d", i);
       if (rig.map.shard_of(k) != shard) continue;
       auto r = co_await rig.client->set(k, bytes_of("ttl"),
                                         Picoseconds::from_us(5.0));
@@ -454,7 +455,7 @@ TEST(StoreDedup, DuplicateSeqReplaysRecordedOutcome) {
   const std::string k_ctr = "dup";
   std::string k_set, k_blob;
   for (int i = 0; (k_set.empty() || k_blob.empty()) && i < 4000; ++i) {
-    std::string cand = "k" + std::to_string(i);
+    std::string cand = strprintf("k%d", i);
     const int s = rig.map.shard_of(cand);
     if (s == rig.map.shard_of(k_ctr)) continue;
     if (k_set.empty()) {
@@ -525,14 +526,14 @@ TEST(StoreDedup, WatermarkKeepsTableBounded) {
   bool done = false;
   rig.cl->engine().spawn_fn([&]() -> sim::Task<void> {
     for (int i = 0; i < kOps; ++i) {
-      auto r = co_await rig.client->incr("b" + std::to_string(i % kKeys), 1);
+      auto r = co_await rig.client->incr(strprintf("b%d", i % kKeys), 1);
       EXPECT_TRUE(r.ok()) << (r.ok() ? "" : r.error().to_string());
       if (!r.ok()) { rig.stop_all(); co_return; }
     }
     // Every counter saw exactly its share of increments — nothing was lost
     // or double-applied while the table churned.
     for (int k = 0; k < kKeys; ++k) {
-      auto got = co_await rig.kv_client->get("b" + std::to_string(k));
+      auto got = co_await rig.kv_client->get(strprintf("b%d", k));
       EXPECT_TRUE(got.ok());
       if (!got.ok()) { rig.stop_all(); co_return; }
       std::uint64_t v = 0;
@@ -628,7 +629,7 @@ TEST(StoreDedup, RecordsMigrateWithShardsAcrossJoin) {
   std::vector<std::string> keys;
   std::set<int> used_shards;
   for (int i = 0; static_cast<int>(keys.size()) < kKeys && i < 8000; ++i) {
-    std::string cand = "m" + std::to_string(i);
+    std::string cand = strprintf("m%d", i);
     if (used_shards.insert(map.shard_of(cand)).second) keys.push_back(std::move(cand));
   }
   ASSERT_EQ(static_cast<int>(keys.size()), kKeys);

@@ -1,5 +1,5 @@
 // 3-D torus fabric tests: dimension-ordered routing at scale, the DRAM-pair
-// spill machinery, adaptive escape hints, and plane-cut recovery.
+// spill machinery, and plane-cut recovery.
 //
 // The planner is pure, so these sweep hundreds of Supernodes without
 // simulating: register budgets and reachability are checked on the planned
@@ -201,46 +201,6 @@ TEST(Torus3d, RandomizedPlansRouteEverywhereWithinBudget) {
       }
     }
   }
-}
-
-TEST(Torus3d, AdaptiveHintsAreMinimalForEveryCoveredTarget) {
-  ClusterConfig c = torus3d(3, 3, 3);
-  c.adaptive_routing = true;
-  const ClusterPlan p = ClusterPlan::build(c).value();
-
-  // Map (chip, port) -> neighbouring Supernode across an external wire.
-  auto neighbor_sn = [&](int chip, int port) -> int {
-    for (const WireSpec& w : p.wires()) {
-      if (!w.tccluster) continue;
-      if (w.a == PortRef{chip, port}) {
-        return p.chips()[static_cast<std::size_t>(w.b.chip)].supernode;
-      }
-      if (w.b == PortRef{chip, port}) {
-        return p.chips()[static_cast<std::size_t>(w.a.chip)].supernode;
-      }
-    }
-    return -1;
-  };
-
-  bool any = false;
-  for (const ChipPlan& cp : p.chips()) {
-    for (const ChipPlan::AdaptiveHint& h : cp.adaptive) {
-      any = true;
-      ASSERT_NE(h.alt_port, h.primary_port);
-      const int via_alt = neighbor_sn(cp.chip, h.alt_port);
-      ASSERT_GE(via_alt, 0) << "alt port must cross an external wire";
-      for (int t = 0; t < p.config().num_supernodes(); ++t) {
-        if (!p.supernodes()[static_cast<std::size_t>(t)].range.overlaps(h.range)) {
-          continue;
-        }
-        const int direct = p.external_hops(cp.supernode, t).value();
-        EXPECT_EQ(p.external_hops(via_alt, t).value(), direct - 1)
-            << "chip " << cp.chip << " target sn " << t
-            << ": escape hop must stay minimal (no livelock)";
-      }
-    }
-  }
-  EXPECT_TRUE(any) << "a 3x3x3 torus should emit adaptive hints";
 }
 
 // ---------------------------------------------------------------------------

@@ -15,8 +15,8 @@ constexpr std::uint64_t kBase1 = kBase0 + 64_MiB;
 /// Two-node fixture where node0's WC unit feeds a TCCluster link.
 struct WcFixture : ::testing::Test {
   sim::Engine engine;
-  OpteronChip n0{engine, ChipConfig{.name = "n0", .dram_bytes = 64_MiB}};
-  OpteronChip n1{engine, ChipConfig{.name = "n1", .dram_bytes = 64_MiB}};
+  OpteronChip n0{engine, ChipConfig{.name = "n0"}};
+  OpteronChip n1{engine, ChipConfig{.name = "n1"}};
   ht::HtLink link{engine, n0.endpoint(1), n1.endpoint(1)};
 
   void SetUp() override {
