@@ -115,6 +115,8 @@ class BenchReport {
   /// Feed the summary pool. Add every primary-metric observation (per
   /// iteration where available, else per table row).
   void add_sample(double v) { samples_.add(v); }
+  /// The summary pool, for a bench that gates on its own summary.
+  [[nodiscard]] Samples& samples() { return samples_; }
 
   /// One table row of the printed output, as structured fields.
   void add_row(Fields fields) { series_.push_back(std::move(fields)); }
@@ -177,6 +179,24 @@ class BenchReport {
   Fields config_;
   Samples samples_;
   std::vector<Fields> series_;
+};
+
+/// A bench's CI verdict. Every bound the bench enforces goes through
+/// check(), and main returns exit_code(), so the exit status is the whole
+/// gate: each failed bound prints a FAIL line and the bench exits 1.
+class Gate {
+ public:
+  /// Records `what` as a failure when `ok` is false.
+  void check(bool ok, const std::string& what) {
+    if (!ok) {
+      std::printf("FAIL: %s\n", what.c_str());
+      failed_ = true;
+    }
+  }
+  [[nodiscard]] int exit_code() const { return failed_ ? 1 : 0; }
+
+ private:
+  bool failed_ = false;
 };
 
 /// A booted two-node cable cluster — the paper's prototype (§V, Fig. 5).

@@ -28,6 +28,7 @@
 // ROADMAP "serving tier" scenario on top of the reproduced fabric.
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <map>
@@ -49,6 +50,15 @@ using namespace tcc::bench;
 namespace {
 
 constexpr int kTorusDim = 4;  ///< 4x4x4 Supernodes, k = 4 -> 256 chips
+
+/// A failover (ring primary kill, torus plane cut) must complete within one
+/// membership epoch between the client and the promoted replica.
+constexpr std::uint64_t kMaxFailoverEpochs = 1;
+/// Wall-clock ceiling of the torus smoke (staged boot of 256 chips, fabric
+/// probe, two-point sweep, plane cut) on one Release-built core: 2.5x its
+/// 4.0 s baseline. A canary for the simulation going quadratic at scale (an
+/// all-to-all protocol loop, a scheduler regression), not a latency figure.
+constexpr double kTorusSmokeMaxWallS = 4.0 * 2.5;
 
 /// One serving cluster. `nodes`/`services` are indexed by chip with null
 /// holes: on the torus only the client and the eight servers get an RPC
@@ -223,10 +233,23 @@ BenchReport::Fields row_fields(double offered_rps, const PointResult& r, bool fa
   return f;
 }
 
+/// Every sweep or fault row must report completed requests and finite
+/// percentiles.
+void check_point(Gate& gate, double offered_rps, const PointResult& r) {
+  tcsvc::LoadReport rep = r.rep;
+  const double p50 = rep.latency_ns.percentile(50.0);
+  const double p99 = rep.latency_ns.percentile(99.0);
+  const double p999 = rep.latency_ns.percentile(99.9);
+  gate.check(std::isfinite(offered_rps) && std::isfinite(p50) && std::isfinite(p99) &&
+                 std::isfinite(p999),
+             strprintf("%.0f rps: non-finite latency percentile", offered_rps));
+  gate.check(rep.completed > 0, strprintf("%.0f rps: no completed requests", offered_rps));
+}
+
 /// Torus-only preamble: ping-pong from chip 0 to representative Supernodes
 /// at increasing dimension-ordered distance, and the cross-section figures
 /// (bisection wire count times the negotiated per-link rate).
-void torus_fabric_rows(BenchReport& report) {
+void torus_fabric_rows(BenchReport& report, Gate& gate) {
   auto cl = make_torus3d(kTorusDim, kTorusDim, kTorusDim);
   const topology::ClusterPlan& plan = cl->plan();
 
@@ -245,16 +268,29 @@ void torus_fabric_rows(BenchReport& report) {
   std::printf("\nfabric: %d chips, bisection %d wires x %.2f GB/s = %.1f GB/s\n",
               plan.config().num_chips(), bisection, link_bps / 1e9,
               bisection * link_bps / 1e9);
+  gate.check(bisection > 0 && std::isfinite(link_bps) && link_bps > 0.0,
+             strprintf("bisection %d wires x %g GB/s", bisection, link_bps / 1e9));
 
   std::printf("per-hop latency (chip 0 -> first chip of Supernode):\n");
   constexpr int kIters = 50;
-  for (int sn : {1, 5, 21, 42}) {  // 1, 2, 3, 6 dimension-ordered hops
+  // 1, 2, 3, 6 dimension-ordered hops; the gate needs three distances or
+  // more to see latency rise with hop count.
+  constexpr int kTargets[] = {1, 5, 21, 42};
+  static_assert(std::size(kTargets) >= 3);
+  int prev_hops = 0;
+  double prev_lat = 0.0;
+  for (int sn : kTargets) {
     const int peer = plan.supernodes()[static_cast<std::size_t>(sn)].chips[0];
     const int hops = plan.external_hops(0, sn).value();
     Samples per_iter;
     const double lat = pingpong_ns(*cl, 0, peer, 48, kIters, &per_iter);
     std::printf("  sn%-3d %d hops: %7.0f ns (p99 %7.0f)\n", sn, hops, lat,
                 per_iter.percentile(99.0));
+    gate.check(std::isfinite(lat) && (hops <= prev_hops || lat > prev_lat),
+               strprintf("%d hops: %.0f ns, not above %d hops: %.0f ns", hops, lat,
+                         prev_hops, prev_lat));
+    prev_hops = hops;
+    prev_lat = lat;
     BenchReport::Fields f = {BenchReport::str("row", "per_hop_latency"),
                              BenchReport::num("target_sn", sn),
                              BenchReport::num("hops", hops),
@@ -500,6 +536,26 @@ RebalanceRig make_rebalance_rig(const std::string& shape,
   return rig;
 }
 
+// Rebalance-smoke bounds (2x2x2 torus). The hard bars are correctness: every
+// membership op commits, state actually streams, no acked write is lost or
+// stale. The numeric ceilings are loose canaries: p99 over a few-hundred-
+// request smoke window is noisy, so they catch a rebalance that stalls
+// serving (orders of magnitude), not jitter.
+struct PhaseCeilings {
+  double p99_vs_steady;  ///< p99 inflation over the steady window
+  double budget_burn;    ///< SLO error-budget burn; 1.0 = the whole budget
+};
+constexpr PhaseCeilings kJoinCeilings{20.0, 10.0};
+constexpr PhaseCeilings kDrainCeilings{20.0, 15.0};
+constexpr PhaseCeilings kKillCeilings{40.0, 30.0};
+/// Requests may fail only in the kill window (the detection gap), and only
+/// a bounded handful there.
+constexpr std::uint64_t kMaxKillFailed = 20;
+/// Join, drain and kill each commit one rebalance.
+constexpr std::uint64_t kMinRebalances = 3;
+/// Smoke wall-clock ceiling: 3x its 2.0 s baseline (runner-dependent).
+constexpr double kRebalanceSmokeMaxWallS = 2.0 * 3.0;
+
 struct RebalancePhase {
   std::string name;
   tcsvc::LoadReport rep;
@@ -518,6 +574,7 @@ struct RebalancePhase {
 int run_rebalance(const std::string& shape, bool smoke, std::uint64_t keys,
                   BenchReport& report, const std::string& out_path,
                   const std::chrono::steady_clock::time_point wall_start) {
+  Gate gate;
   tcsvc::KvConfig kv_cfg;
   RebalanceRig rig = make_rebalance_rig(shape, kv_cfg);
   sim::Engine& eng = rig.cl->engine();
@@ -649,9 +706,13 @@ int run_rebalance(const std::string& shape, bool smoke, std::uint64_t keys,
   }();
   bool ops_ok = true;
   std::uint64_t serving_failed = 0;
-  for (RebalancePhase& phase : phases) {
+  const PhaseCeilings* ceilings[] = {nullptr, &kJoinCeilings, &kDrainCeilings,
+                                     &kKillCeilings};
+  for (std::size_t pi = 0; pi < phases.size(); ++pi) {
+    RebalancePhase& phase = phases[pi];
     tcsvc::LoadReport rep = phase.rep;
     const double p99_us = rep.latency_ns.percentile(99.0) / 1e3;
+    const double p99_vs_steady = steady_p99 > 0.0 ? p99_us / steady_p99 : 0.0;
     // SLO error-budget burn: 1.0 = this window used its entire budget.
     const double burn = static_cast<double>(rep.slo_violations) /
         std::max(1.0, load_cfg.slo.error_budget * static_cast<double>(rep.offered));
@@ -675,8 +736,7 @@ int run_rebalance(const std::string& shape, bool smoke, std::uint64_t keys,
                     BenchReport::num("slo_violations",
                                      static_cast<double>(rep.slo_violations)),
                     BenchReport::num("budget_burn", burn),
-                    BenchReport::num("p99_vs_steady",
-                                     steady_p99 > 0.0 ? p99_us / steady_p99 : 0.0),
+                    BenchReport::num("p99_vs_steady", p99_vs_steady),
                     BenchReport::num("epoch", static_cast<double>(phase.epoch)),
                     BenchReport::num("entries_streamed",
                                      static_cast<double>(phase.entries_streamed)),
@@ -686,7 +746,27 @@ int run_rebalance(const std::string& shape, bool smoke, std::uint64_t keys,
                     BenchReport::num("op_ok", phase.op_ok ? 1.0 : 0.0)});
     report.add_sample(p99_us);
     ops_ok = ops_ok && phase.op_ok;
-    if (phase.name != "kill") serving_failed += rep.failed;
+    const char* name = phase.name.c_str();
+    if (phase.name == "kill") {
+      gate.check(rep.failed <= kMaxKillFailed,
+                 strprintf("kill: %llu failed requests (allowed %llu)",
+                           static_cast<unsigned long long>(rep.failed),
+                           static_cast<unsigned long long>(kMaxKillFailed)));
+    } else {
+      serving_failed += rep.failed;
+    }
+    gate.check(phase.epoch == pi, strprintf("%s: epoch %llu, expected %zu", name,
+                                            static_cast<unsigned long long>(phase.epoch), pi));
+    gate.check(rep.completed > 0, strprintf("%s: no completed requests", name));
+    gate.check(std::isfinite(p99_us), strprintf("%s: p99 not finite", name));
+    if (ceilings[pi] == nullptr) continue;  // steady: the reference window
+    gate.check(phase.entries_streamed > 0, strprintf("%s: no entries streamed", name));
+    gate.check(p99_vs_steady <= ceilings[pi]->p99_vs_steady,
+               strprintf("%s: p99 inflated %.2fx over steady (ceiling %.1fx)", name,
+                         p99_vs_steady, ceilings[pi]->p99_vs_steady));
+    gate.check(burn <= ceilings[pi]->budget_burn,
+               strprintf("%s: error-budget burn %.2f (ceiling %.1f)", name, burn,
+                         ceilings[pi]->budget_burn));
   }
   const auto& cs = rig.coord->stats();
   std::printf("\nledger: %llu acked keys, %llu lost, %llu stale; coordinator: "
@@ -713,23 +793,25 @@ int run_rebalance(const std::string& shape, bool smoke, std::uint64_t keys,
   report.write(out_path);
   std::printf("wall time: %.2f s\n", wall_s);
 
-  if (lost != 0 || stale != 0) {
-    std::printf("FAIL: rebalance lifecycle lost %llu / rolled back %llu "
-                "acknowledged writes\n", static_cast<unsigned long long>(lost),
-                static_cast<unsigned long long>(stale));
-    return 1;
+  gate.check(lost == 0 && stale == 0,
+             strprintf("rebalance lifecycle lost %llu / rolled back %llu acknowledged "
+                       "writes", static_cast<unsigned long long>(lost),
+                       static_cast<unsigned long long>(stale)));
+  gate.check(ops_ok && cs.failed == 0, "a membership operation did not complete");
+  gate.check(serving_failed == 0,
+             strprintf("%llu requests failed outside the kill window",
+                       static_cast<unsigned long long>(serving_failed)));
+  gate.check(!acked.empty(), "the ledger writer made no progress");
+  gate.check(cs.rebalances >= kMinRebalances,
+             strprintf("only %llu rebalances committed",
+                       static_cast<unsigned long long>(cs.rebalances)));
+  gate.check(!smoke || wall_s <= kRebalanceSmokeMaxWallS,
+             strprintf("wall %.2f s over the %.1f s smoke ceiling", wall_s,
+                       kRebalanceSmokeMaxWallS));
+  if (gate.exit_code() == 0) {
+    std::printf("join + drain + kill under load: zero acknowledged writes lost\n");
   }
-  if (!ops_ok || cs.failed != 0) {
-    std::printf("FAIL: a membership operation did not complete\n");
-    return 1;
-  }
-  if (serving_failed != 0) {
-    std::printf("FAIL: %llu requests failed outside the kill window\n",
-                static_cast<unsigned long long>(serving_failed));
-    return 1;
-  }
-  std::printf("join + drain + kill under load: zero acknowledged writes lost\n");
-  return 0;
+  return gate.exit_code();
 }
 
 }  // namespace
@@ -794,7 +876,8 @@ int main(int argc, char** argv) {
   report.config("request_credits", static_cast<double>(tcsvc::RpcConfig{}.request_credits));
   report.config("smoke", smoke ? 1.0 : 0.0);
 
-  if (torus) torus_fabric_rows(report);
+  Gate gate;
+  if (torus) torus_fabric_rows(report, gate);
 
   std::printf("\n%9s  %7s  %9s  %6s  %12s  %8s  %8s  %8s  %8s  %6s\n",
               "off_krps", "offered", "completed", "failed", "goodput_krps",
@@ -820,19 +903,18 @@ int main(int argc, char** argv) {
     PointResult r = run_point(shape, load_cfg, kv_cfg, std::nullopt);
     print_row(rps, r, "");
     report.add_row(row_fields(rps, r, /*fault=*/false));
+    check_point(gate, rps, r);
     tcsvc::LoadReport rep = r.rep;
     report.add_sample(rep.latency_ns.percentile(99.0) / 1e3);
     total_failed += rep.failed;
   }
 
-  std::uint64_t plane_cut_lost = 0;
   if (torus) {
     // Plane cut at scale, with the per-op deadlines back at their tight
     // defaults — giving up on a dead primary and flipping to its replica
     // is exactly the mechanism under test.
     tcsvc::KvConfig cut_cfg;
     PlaneCutResult pc = run_plane_cut(cut_cfg);
-    plane_cut_lost = pc.lost + pc.stale;
     std::printf("\nplane cut (z=%d, 64 chips): %llu acked writes, %llu lost, "
                 "%llu stale; %llu post-cut acks (%llu failed over), first "
                 "failover ack %.1f us after the cut, epoch_delta=%llu\n",
@@ -853,10 +935,14 @@ int main(int argc, char** argv) {
                     BenchReport::num("recover_us", pc.recover_us),
                     BenchReport::num("epoch_delta",
                                      static_cast<double>(pc.epoch_delta))});
-    if (pc.dead_primary_acked == 0) {
-      std::printf("FAIL: no write failed over to a surviving replica\n");
-      plane_cut_lost += 1;
-    }
+    gate.check(pc.lost == 0 && pc.stale == 0,
+               strprintf("the plane cut lost %llu / rolled back %llu acknowledged writes",
+                         static_cast<unsigned long long>(pc.lost),
+                         static_cast<unsigned long long>(pc.stale)));
+    gate.check(pc.dead_primary_acked > 0, "no write failed over to a surviving replica");
+    gate.check(pc.epoch_delta <= kMaxFailoverEpochs,
+               strprintf("plane-cut failover took %llu membership epochs",
+                         static_cast<unsigned long long>(pc.epoch_delta)));
   } else {
     // Fault-injected run: moderate load, primary killed a third into the
     // window. The short attempt budget is restored — giving up on the dead
@@ -872,6 +958,11 @@ int main(int argc, char** argv) {
     PointResult fr = run_point(shape, load_cfg, kv_cfg, fault_after);
     print_row(load_cfg.offered_rps, fr, "<- primary killed mid-run");
     report.add_row(row_fields(load_cfg.offered_rps, fr, /*fault=*/true));
+    check_point(gate, load_cfg.offered_rps, fr);
+    gate.check(fr.epoch_delta <= kMaxFailoverEpochs,
+               strprintf("failover took %llu membership epochs",
+                         static_cast<unsigned long long>(fr.epoch_delta)));
+    gate.check(fr.failover_serves > 0, "the replica never served for the dead primary");
     std::printf("\nfailover: epoch_delta=%llu (at most one membership epoch), "
                 "failover_serves=%llu, rerouted=%llu, degraded_writes=%llu\n",
                 static_cast<unsigned long long>(fr.epoch_delta),
@@ -887,18 +978,16 @@ int main(int argc, char** argv) {
   report.write(out_path);
   std::printf("wall time: %.2f s\n", wall_s);
 
-  if (total_failed != 0) {
-    std::printf("FAIL: %llu requests failed in the fault-free sweep\n",
-                static_cast<unsigned long long>(total_failed));
-    return 1;
+  gate.check(total_failed == 0,
+             strprintf("%llu requests failed in the fault-free sweep",
+                       static_cast<unsigned long long>(total_failed)));
+  gate.check(!(smoke && torus) || wall_s <= kTorusSmokeMaxWallS,
+             strprintf("wall %.2f s over the %.1f s torus smoke ceiling", wall_s,
+                       kTorusSmokeMaxWallS));
+  if (gate.exit_code() == 0) {
+    std::printf(torus ? "fault-free sweep clean; plane cut lost zero "
+                        "acknowledged writes\n"
+                      : "fault-free sweep: zero failed requests\n");
   }
-  if (plane_cut_lost != 0) {
-    std::printf("FAIL: the plane cut lost %llu acknowledged writes\n",
-                static_cast<unsigned long long>(plane_cut_lost));
-    return 1;
-  }
-  std::printf(torus ? "fault-free sweep clean; plane cut lost zero "
-                      "acknowledged writes\n"
-                    : "fault-free sweep: zero failed requests\n");
-  return 0;
+  return gate.exit_code();
 }

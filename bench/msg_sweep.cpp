@@ -11,9 +11,9 @@
 //     the doorbell sfence, slot markers, and the receiver's validation pass
 //     across the group.
 //
-// Emits BENCH_msg_sweep.json (schema v1); tools/check_msg_sweep.py gates the
-// coalescing-on/off ratio in CI. Gate (ISSUE 7 acceptance): >=1.5x burst
-// throughput at <=32 B with coalescing on, no regression at >=4 KiB.
+// Emits BENCH_msg_sweep.json (schema v1) and exits 1 when a burst point's
+// coalescing-on/off ratio falls below its floor (the kMin* constants) or
+// the <=32 B geomean falls below 1.5x.
 #include <cmath>
 #include <cstring>
 
@@ -91,6 +91,32 @@ SweepPoint burst_sweep(cluster::TcCluster& cl, int a, int b, std::uint32_t bytes
   return p;
 }
 
+// Floors on the coalescing on/off burst-throughput ratio. Both configs run
+// in this binary and the ratio is taken in simulated time, so the floors
+// are properties of the message layer, not of the runner.
+//
+// 8 B: 85% of the measured 2.06x (1 hop) / 2.07x (3 hops), so a >15% ratio
+// regression fails.
+constexpr double kMin8BRatioOneHop = 2.06 * 0.85;
+constexpr double kMin8BRatioThreeHops = 2.07 * 0.85;
+// Every point <=32 B must improve; the slot-density win shrinks as the
+// payload's own per-word UC loads (identical in both configs) take over.
+constexpr double kMinSmallRatio = 1.2;
+// 256 B: 85% of the measured parity (1.0x).
+constexpr double kMin256BRatio = 0.85;
+// No regression at >=4 KiB (5% jitter tolerance).
+constexpr double kMinLargeRatio = 0.95;
+// The small-message acceptance bar: geomean of every <=32 B burst ratio.
+constexpr double kMinSmallGeomean = 1.5;
+
+double burst_ratio_floor(int hops, std::uint32_t bytes) {
+  if (bytes == 8) return hops == 1 ? kMin8BRatioOneHop : kMin8BRatioThreeHops;
+  if (bytes <= 32) return kMinSmallRatio;
+  if (bytes == 256) return kMin256BRatio;
+  if (bytes >= 4096) return kMinLargeRatio;
+  return 0.0;
+}
+
 double pingpong_sweep(cluster::TcCluster& cl, int a, int b, std::uint32_t bytes,
                       int iters, bool coalesce) {
   auto* ea = cl.msg(a).connect(b).value();
@@ -110,7 +136,6 @@ int main(int argc, char** argv) {
   using namespace tcc::bench;
 
   const bool smoke = flag_bool(argc, argv, "--smoke");
-  const bool gate = flag_bool(argc, argv, "--gate", true);
   const int window = static_cast<int>(flag_int(argc, argv, "--window=", 64));
   const int rounds = static_cast<int>(flag_int(argc, argv, "--rounds=", smoke ? 8 : 40));
   const int pp_iters = static_cast<int>(flag_int(argc, argv, "--iters=", smoke ? 20 : 100));
@@ -140,7 +165,7 @@ int main(int argc, char** argv) {
   report.config("pingpong_iters", pp_iters);
   report.config("smoke", smoke ? 1.0 : 0.0);
 
-  bool gate_ok = true;
+  Gate gate;
   std::vector<double> small_ratios;  // burst ratios at <=32 B, all distances
   std::printf("\n%8s %6s %10s | %12s %12s %8s | %11s %11s\n", "pattern", "hops",
               "bytes", "off Mmsg/s", "on Mmsg/s", "ratio", "off ns", "on ns");
@@ -161,15 +186,10 @@ int main(int argc, char** argv) {
                       BenchReport::num("ratio", ratio)});
       std::printf("%8s %6d %10u | %12.3f %12.3f %7.2fx |\n", "burst", hops, bytes,
                   off.mmsgs_per_sec, on.mmsgs_per_sec, ratio);
-      // Small-message class: geomean gated below. Per-size floor here — every
-      // point must improve; the slot-density win shrinks as the payload's own
-      // per-word UC loads (identical in both configs) take over.
-      if (bytes <= 32) {
-        small_ratios.push_back(ratio);
-        if (ratio < 1.2) gate_ok = false;
-      }
-      // No regression (5% jitter tolerance) at >=4 KiB, at every distance.
-      if (bytes >= 4096 && ratio < 0.95) gate_ok = false;
+      if (bytes <= 32) small_ratios.push_back(ratio);
+      const double min_ratio = burst_ratio_floor(hops, bytes);
+      gate.check(ratio >= min_ratio, strprintf("burst %d hops %u B: ratio %.2fx below %.2fx",
+                                               hops, bytes, ratio, min_ratio));
     }
     for (const std::uint32_t bytes : sizes) {
       if (bytes > cluster::kMaxMessageBytes) continue;  // pingpong is single-msg
@@ -190,13 +210,13 @@ int main(int argc, char** argv) {
     for (const double r : small_ratios) log_sum += std::log(r);
     small_ratio = std::exp(log_sum / static_cast<double>(small_ratios.size()));
   }
-  if (small_ratio < 1.5) gate_ok = false;
   report.config("small_msg_ratio", small_ratio);
   report.write(flag_value(argc, argv, "--bench-out="));
 
-  std::printf("\ngate: small-message (<=32 B) burst throughput ratio %.2fx "
-              "(geomean, need >=1.5x; every point >=1.2x), >=0.95x at >=4 KiB: "
-              "%s\n", small_ratio, gate_ok ? "PASS" : "FAIL");
-  if (gate && !gate_ok) return 1;
-  return 0;
+  std::printf("\nsmall-message (<=32 B) burst throughput ratio %.2fx (geomean)\n",
+              small_ratio);
+  gate.check(small_ratio >= kMinSmallGeomean,
+             strprintf("small-message geomean %.2fx below %.1fx", small_ratio,
+                       kMinSmallGeomean));
+  return gate.exit_code();
 }

@@ -1,8 +1,9 @@
 // Host-side throughput benchmark of the simulation engine itself: how many
 // simulated nanoseconds one wall-clock second buys, on three workload shapes,
 // for both event-queue implementations (calendar queue vs. the pre-change
-// binary-heap reference). The speedup ratios are what CI gates on — they are
-// a property of the engine, not of the machine running the bench.
+// binary-heap reference). The bench exits 1 when a speedup ratio falls below
+// its floor (kMin*Speedup below) — the ratio is a property of the engine, not
+// of the machine running the bench.
 //
 // Workloads (see docs/SIMULATOR.md "Performance model"):
 //   micro             dense self-rescheduling events with small captures;
@@ -19,6 +20,8 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
+#include <optional>
+#include <string_view>
 
 #include "bench_util.hpp"
 #include "sim/engine.hpp"
@@ -156,40 +159,42 @@ struct RunResult {
   double events_per_s = 0;
 };
 
-template <typename Setup>
-RunResult run_one(Scheduler sched, Setup&& setup) {
-  Engine eng(sched);
-  setup(eng);
+/// Times `eng.run()`, or `eng.run_until(*horizon)` counting the whole
+/// horizon as simulated time.
+RunResult time_run(Engine& eng, std::optional<Picoseconds> horizon = std::nullopt) {
   const auto t0 = std::chrono::steady_clock::now();
-  eng.run();
+  if (horizon) {
+    eng.run_until(*horizon);
+  } else {
+    eng.run();
+  }
   const auto t1 = std::chrono::steady_clock::now();
   RunResult r;
   r.wall_s = std::chrono::duration<double>(t1 - t0).count();
   if (r.wall_s <= 0) r.wall_s = 1e-9;
-  r.sim_ns = static_cast<double>(eng.now().count()) / 1e3;
+  r.sim_ns = static_cast<double>((horizon ? *horizon : eng.now()).count()) / 1e3;
   r.events = static_cast<double>(eng.events_processed());
   r.sim_ns_per_wall_s = r.sim_ns / r.wall_s;
   r.events_per_s = r.events / r.wall_s;
   return r;
 }
 
-template <typename Setup>
-RunResult best_of(int reps, Scheduler sched, Setup&& setup) {
-  RunResult best;
-  for (int i = 0; i < reps + 1; ++i) {  // +1 warmup, discarded unless best
-    RunResult r = run_one(sched, setup);
-    if (i == 0) continue;
-    if (r.sim_ns_per_wall_s > best.sim_ns_per_wall_s) best = r;
-  }
-  return best;
-}
+// Floors on the calendar/heap_reference speedup: 80% of the ratios the
+// engine held when they were set (micro 1.3x, kv_serving_shaped 3.2x,
+// idle_heavy 1.1x), themselves conservative against the typical kv ~3.3-3.9,
+// micro ~1.4-1.8 and idle ~1.2-1.5, so scheduler noise does not false-fail.
+// Both schedulers run in this binary on the same machine, so the ratio is a
+// property of the engine, not of the runner.
+constexpr double kMinMicroSpeedup = 1.3 * 0.8;
+constexpr double kMinKvSpeedup = 3.2 * 0.8;
+constexpr double kMinIdleSpeedup = 1.1 * 0.8;
 
 }  // namespace
 
 int main(int argc, char** argv) {
   using tcc::bench::BenchReport;
   const bool smoke = tcc::bench::flag_bool(argc, argv, "--smoke");
-  const int reps = static_cast<int>(tcc::bench::flag_int(argc, argv, "--reps=", smoke ? 2 : 5));
+  const int reps = static_cast<int>(tcc::bench::flag_int(argc, argv, "--reps=", smoke ? 4 : 5));
   const std::int64_t micro_scale = tcc::bench::flag_int(argc, argv, "--micro-scale=", smoke ? 4000 : 20000);
   const std::int64_t kv_requests = tcc::bench::flag_int(argc, argv, "--kv-requests=", smoke ? 20000 : 100000);
   const std::int64_t idle_scale = tcc::bench::flag_int(argc, argv, "--idle-scale=", smoke ? 10000 : 50000);
@@ -204,47 +209,46 @@ int main(int argc, char** argv) {
   std::printf("%-20s %-14s %14s %14s %12s\n", "workload", "scheduler", "sim-ns/wall-s",
               "events/s", "wall-s");
 
-  // Keep one KvState alive per run; engine.run() drains before it dies.
-  const auto measure = [&](const char* name, Scheduler sched) -> RunResult {
-    if (std::string(name) == "micro") {
-      return best_of(reps, sched, [&](Engine& e) { setup_micro(e, micro_scale); });
+  // kv_serving_shaped: both schedulers simulate the exact same horizon
+  // (run_until), so sim-ns/wall-s compares identical offered load — the
+  // heap reference pays for draining its dead cancelled timers inside the
+  // measured span instead of tacking cheap idle time onto the end.
+  // Horizon: upper-bound last arrival (8 us max gap per client) plus the
+  // 500 us deadline tail, rounded up.
+  const Picoseconds kv_horizon =
+      Picoseconds::from_us(static_cast<double>(kv_requests) / 256.0 * 8.0 + 600.0);
+  const auto run = [&](std::string_view name, Scheduler sched) -> RunResult {
+    Engine eng(sched);
+    if (name == "micro") {
+      setup_micro(eng, micro_scale);
+      return time_run(eng);
     }
-    if (std::string(name) == "idle_heavy") {
-      return best_of(reps, sched, [&](Engine& e) { setup_idle(e, idle_scale); });
+    if (name == "idle_heavy") {
+      setup_idle(eng, idle_scale);
+      return time_run(eng);
     }
-    // kv_serving_shaped: both schedulers simulate the exact same horizon
-    // (run_until), so sim-ns/wall-s compares identical offered load — the
-    // heap reference pays for draining its dead cancelled timers inside the
-    // measured span instead of tacking cheap idle time onto the end.
-    // Horizon: upper-bound last arrival (8 us max gap per client) plus the
-    // 500 us deadline tail, rounded up.
-    const double horizon_us =
-        static_cast<double>(kv_requests) / 256.0 * 8.0 + 600.0;
-    RunResult best;
-    for (int i = 0; i < reps + 1; ++i) {
-      Engine eng(sched);
-      KvState st{eng, kv_requests};
-      setup_kv(eng, st);
-      const auto t0 = std::chrono::steady_clock::now();
-      eng.run_until(Picoseconds::from_us(horizon_us));
-      const auto t1 = std::chrono::steady_clock::now();
-      RunResult r;
-      r.wall_s = std::chrono::duration<double>(t1 - t0).count();
-      if (r.wall_s <= 0) r.wall_s = 1e-9;
-      r.sim_ns = horizon_us * 1e3;
-      r.events = static_cast<double>(eng.events_processed());
-      r.sim_ns_per_wall_s = r.sim_ns / r.wall_s;
-      r.events_per_s = r.events / r.wall_s;
-      if (i == 0) continue;
-      if (r.sim_ns_per_wall_s > best.sim_ns_per_wall_s) best = r;
-    }
-    return best;
+    KvState st{eng, kv_requests};  // outlives the run; dies before eng
+    setup_kv(eng, st);
+    return time_run(eng, kv_horizon);
   };
 
-  const char* workloads[] = {"micro", "kv_serving_shaped", "idle_heavy"};
-  for (const char* name : workloads) {
-    RunResult cal = measure(name, Scheduler::kCalendar);
-    RunResult heap = measure(name, Scheduler::kHeapReference);
+  tcc::bench::Gate gate;
+  const std::pair<const char*, double> workloads[] = {
+      {"micro", kMinMicroSpeedup},
+      {"kv_serving_shaped", kMinKvSpeedup},
+      {"idle_heavy", kMinIdleSpeedup}};
+  for (const auto& [name, min_speedup] : workloads) {
+    // Each repetition runs a calendar engine and then a heap engine, so host
+    // noise (a frequency step, a neighbour's burst) lands on both sides of
+    // the ratio instead of on one scheduler's whole block. Best of each.
+    RunResult cal, heap;
+    for (int i = 0; i < reps + 1; ++i) {  // +1 warmup round, discarded
+      const RunResult c = run(name, Scheduler::kCalendar);
+      const RunResult h = run(name, Scheduler::kHeapReference);
+      if (i == 0) continue;
+      if (c.sim_ns_per_wall_s > cal.sim_ns_per_wall_s) cal = c;
+      if (h.sim_ns_per_wall_s > heap.sim_ns_per_wall_s) heap = h;
+    }
     const double speedup = cal.sim_ns_per_wall_s / heap.sim_ns_per_wall_s;
     for (const auto& [sched_name, r] :
          {std::pair<const char*, const RunResult&>{"calendar", cal},
@@ -266,9 +270,12 @@ int main(int argc, char** argv) {
       }
       report.add_row(std::move(row));
     }
-    std::printf("%-20s %-14s %14.2fx (calendar vs heap_reference)\n", name, "speedup", speedup);
+    std::printf("%-20s %-14s %14.2fx (calendar vs heap_reference, floor %.2fx)\n", name,
+                "speedup", speedup, min_speedup);
+    gate.check(speedup >= min_speedup,
+               tcc::strprintf("%s: speedup %.2fx below %.2fx", name, speedup, min_speedup));
   }
 
   report.write(tcc::bench::flag_value(argc, argv, "--bench-out="));
-  return 0;
+  return gate.exit_code();
 }

@@ -16,9 +16,11 @@
 //    applied (stored counter outside [acked, acked + ambiguous]).
 //
 // Not a paper figure: the paper stops at MPI microbenchmarks. This is the
-// ROADMAP serving-tier store on top of the reproduced fabric, gated in CI
-// by tools/check_store_ops.py against bench/baselines/store_ops_baseline.json.
+// ROADMAP serving-tier store on top of the reproduced fabric. The bench is
+// its own gate: it exits 1 when a correctness bar or one of the k* bounds
+// below fails.
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <map>
@@ -108,6 +110,18 @@ Rig make_rig(const std::string& shape, const tcstore::StoreConfig& cfg) {
 constexpr int kWorkers = 4;
 constexpr int kKeysPerWorker = 8;
 constexpr std::uint32_t kValueBytes = 64;
+
+// Loose canaries: percentiles over a 240-op smoke window are noisy, so these
+// catch structural regressions in the RMW or scan paths, not jitter.
+//
+// An atomic op's p99 must stay within this factor of the plain put p99 at
+// the same offered load: the RMW execute + logical-replicate path must not
+// be an order of magnitude off the state path.
+constexpr double kMaxAtomicP99VsPut = 2.0;
+/// Scan goodput floor, entries per second of simulated time.
+constexpr double kMinScanEntriesPerS = 200'000.0;
+/// Smoke wall-clock ceiling: 3x its 2.0 s baseline (runner-dependent).
+constexpr double kStoreSmokeMaxWallS = 2.0 * 3.0;
 
 /// One op kind measured on a fresh rig: kWorkers coroutines, each firing
 /// `iters` ops at its own key set with a 1-3 us deterministic gap — the
@@ -322,6 +336,7 @@ int main(int argc, char** argv) {
   report.config("value_bytes", static_cast<double>(kValueBytes));
   report.config("scan_keys", static_cast<double>(scan_keys));
 
+  Gate gate;
   const char* kinds[] = {"put", "incr", "cas", "append"};
   for (const std::string& shape : {std::string("ring"), std::string("torus3d")}) {
     const std::string topo = shape == "torus3d" ? "torus3d-2x2x2" : "ring-4";
@@ -329,6 +344,7 @@ int main(int argc, char** argv) {
                 topo.c_str(), kWorkers, iters);
     std::printf("%8s  %6s  %6s  %8s  %8s  %8s  %10s\n", "op", "ok", "failed",
                 "p50_us", "p99_us", "p999_us", "goodput");
+    double put_p99 = 0.0;
     for (const char* kind : kinds) {
       KindResult r = run_kind(shape, kind, iters);
       const double goodput_kops =
@@ -351,6 +367,20 @@ int main(int argc, char** argv) {
                       BenchReport::num("p999_us", r.latency_us.percentile(99.9)),
                       BenchReport::num("goodput_kops", goodput_kops)});
       report.add_sample(r.latency_us.percentile(99.0));
+
+      const double p99 = r.latency_us.percentile(99.0);
+      const std::string what = topo + "/" + kind;
+      gate.check(r.latency_us.count() > 0, what + ": no completed ops");
+      gate.check(r.failed == 0, strprintf("%s: %llu failed ops", what.c_str(),
+                                          static_cast<unsigned long long>(r.failed)));
+      if (std::string(kind) == "put") {
+        put_p99 = p99;
+        gate.check(std::isfinite(p99) && p99 > 0.0, what + ": p99 not finite/positive");
+      } else {
+        gate.check(p99 <= kMaxAtomicP99VsPut * put_p99,
+                   strprintf("%s: p99 %.2f us over %.1fx put p99 %.2f us", what.c_str(),
+                             p99, kMaxAtomicP99VsPut, put_p99));
+      }
     }
 
     ScanResult sc = run_scan(shape, scan_keys);
@@ -370,6 +400,10 @@ int main(int argc, char** argv) {
                     BenchReport::num("elapsed_us", sc.elapsed_us),
                     BenchReport::num("entries_per_s", entries_per_s),
                     BenchReport::num("mb_per_s", mb_per_s)});
+    gate.check(sc.entries > 0 && sc.frames > 0, topo + ": scan returned no entries/frames");
+    gate.check(entries_per_s >= kMinScanEntriesPerS,
+               strprintf("%s: scan goodput %.0f/s below %.0f/s", topo.c_str(),
+                         entries_per_s, kMinScanEntriesPerS));
   }
 
   ChaosResult ch = run_chaos(smoke ? 150 : 400);
@@ -398,16 +432,17 @@ int main(int argc, char** argv) {
   report.write(out_path);
   std::printf("wall time: %.2f s\n", wall_s);
 
-  if (ch.lost != 0 || ch.double_applied != 0) {
-    std::printf("FAIL: the kill window lost %llu / double-applied %llu acked "
-                "increments\n", static_cast<unsigned long long>(ch.lost),
-                static_cast<unsigned long long>(ch.double_applied));
-    return 1;
+  gate.check(ch.lost == 0 && ch.double_applied == 0,
+             strprintf("the kill window lost %llu / double-applied %llu acked increments",
+                       static_cast<unsigned long long>(ch.lost),
+                       static_cast<unsigned long long>(ch.double_applied)));
+  gate.check(ch.acked > 0, "kill window: the ledger writer made no progress");
+  gate.check(ch.post_kill_acked > 0, "no increment was acked after the kill");
+  gate.check(!smoke || wall_s <= kStoreSmokeMaxWallS,
+             strprintf("wall %.2f s over the %.1f s smoke ceiling", wall_s,
+                       kStoreSmokeMaxWallS));
+  if (gate.exit_code() == 0) {
+    std::printf("kill window: zero acked increments lost or double-applied\n");
   }
-  if (ch.post_kill_acked == 0) {
-    std::printf("FAIL: no increment was acked after the kill\n");
-    return 1;
-  }
-  std::printf("kill window: zero acked increments lost or double-applied\n");
-  return 0;
+  return gate.exit_code();
 }

@@ -36,13 +36,20 @@ bool decode_send(std::span<const std::uint8_t> body, std::string_view& name,
   return !name.empty();
 }
 
+/// Client budgets: StoreConfig's defaults.
+constexpr Picoseconds kOpDeadline = Picoseconds::from_us(500.0);
+constexpr Picoseconds kAttemptDeadline = Picoseconds::from_us(60.0);
+constexpr Picoseconds kRetryBackoff = Picoseconds::from_us(2.0);
+/// Modeled CPU service time of one delivery (lookup + handler dispatch).
+constexpr Picoseconds kDeliverCompute = Picoseconds::from_ns(200.0);
+
 }  // namespace
 
 // --------------------------------------------------------- MailboxService --
 
 MailboxService::MailboxService(cluster::TcCluster& cluster, tcsvc::RpcNode& rpc,
-                               tcsvc::KvService& kv, MailboxConfig cfg)
-    : cluster_(cluster), rpc_(rpc), kv_(kv), cfg_(cfg) {
+                               tcsvc::KvService& kv)
+    : cluster_(cluster), rpc_(rpc), kv_(kv) {
   register_tcstore_metrics();
 }
 
@@ -67,7 +74,7 @@ bool MailboxService::is_open(std::string_view name) const {
 
 sim::Task<Result<std::vector<std::uint8_t>>> MailboxService::on_send(
     const tcsvc::RpcContext& ctx, std::span<const std::uint8_t> body) {
-  co_await cluster_.engine().delay(cfg_.deliver_compute);
+  co_await cluster_.engine().delay(kDeliverCompute);
   std::string_view name;
   std::uint64_t seq = 0;
   std::span<const std::uint8_t> payload;
@@ -115,10 +122,10 @@ sim::Task<Result<std::vector<std::uint8_t>>> MailboxService::on_send(
 // ---------------------------------------------------------- MailboxClient --
 
 MailboxClient::MailboxClient(cluster::TcCluster& cluster, tcsvc::RpcNode& rpc,
-                             tcsvc::ShardMap map, MailboxConfig cfg)
+                             tcsvc::ShardMap map)
     : cluster_(cluster),
-      route_(cluster, rpc, std::move(map), cfg.op_deadline, cfg.attempt_deadline,
-             cfg.retry_backoff, stats_) {}
+      route_(cluster, rpc, std::move(map), kOpDeadline, kAttemptDeadline, kRetryBackoff,
+             stats_) {}
 
 sim::Task<Status> MailboxClient::send(std::string_view name,
                                       std::span<const std::uint8_t> payload,

@@ -43,14 +43,6 @@
 
 namespace tcc::tcstore {
 
-struct MailboxConfig {
-  Picoseconds op_deadline = Picoseconds::from_us(500.0);
-  Picoseconds attempt_deadline = Picoseconds::from_us(60.0);
-  /// Modeled CPU service time of one delivery (lookup + handler dispatch).
-  Picoseconds deliver_compute = Picoseconds::from_ns(200.0);
-  Picoseconds retry_backoff = Picoseconds::from_us(2.0);
-};
-
 struct MailboxStats {
   std::uint64_t delivered = 0;
   std::uint64_t duplicates = 0;         ///< ok-acked without redelivery
@@ -66,7 +58,7 @@ class MailboxService {
   using Handler = std::function<void(int sender, std::span<const std::uint8_t>)>;
 
   MailboxService(cluster::TcCluster& cluster, tcsvc::RpcNode& rpc,
-                 tcsvc::KvService& kv, MailboxConfig cfg = {});
+                 tcsvc::KvService& kv);
 
   MailboxService(const MailboxService&) = delete;
   MailboxService& operator=(const MailboxService&) = delete;
@@ -93,7 +85,6 @@ class MailboxService {
   cluster::TcCluster& cluster_;
   tcsvc::RpcNode& rpc_;
   tcsvc::KvService& kv_;
-  MailboxConfig cfg_;
   std::map<std::string, Handler, std::less<>> boxes_;
   /// (mailbox, sender chip) -> highest seq delivered; duplicates at or below
   /// it ok-ack without redelivery.
@@ -112,7 +103,7 @@ struct MailboxClientStats : tcsvc::RouteStats {
 class MailboxClient {
  public:
   MailboxClient(cluster::TcCluster& cluster, tcsvc::RpcNode& rpc,
-                tcsvc::ShardMap map, MailboxConfig cfg = {});
+                tcsvc::ShardMap map);
 
   /// Deliver `payload` to mailbox `name`, wherever it currently lives.
   /// kNotFound = dead mailbox (typed, final); ok = delivered exactly once.

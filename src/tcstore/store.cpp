@@ -139,6 +139,18 @@ std::vector<std::uint8_t> encode_op(StoreOp op, std::string_view key,
   return out;
 }
 
+/// Modeled CPU service time of one RMW op (read + modify + write).
+constexpr Picoseconds kOpCompute = Picoseconds::from_ns(350.0);
+/// Period of the lazy-TTL backstop sweep (runs until RpcNode::stop()).
+constexpr Picoseconds kSweepPeriod = Picoseconds::from_us(50.0);
+/// Key-level mutex stripes per shard: ops on the same stripe serialize
+/// (read-modify-write atomicity + ordered replication), different stripes
+/// of one shard proceed concurrently.
+constexpr std::size_t kLockStripes = 4;
+static_assert(kLockStripes > 0, "lock stripes must be positive");
+/// Payload budget per scan response frame.
+constexpr std::uint32_t kScanFrameBytes = 1024;
+
 /// Replication modes (kStoreReplicateOp `mode` byte).
 constexpr std::uint8_t kModeRecordOnly = 0;  ///< dedup record, no state change
 constexpr std::uint8_t kModeLogical = 1;     ///< partner re-executes the op
@@ -220,8 +232,7 @@ StoreService::StoreService(cluster::TcCluster& cluster, tcsvc::RpcNode& rpc,
       kv_(kv),
       cfg_(cfg),
       dedup_(static_cast<std::size_t>(kv.shard_map().shards())) {
-  TCC_ASSERT(cfg_.lock_stripes > 0, "lock_stripes must be positive");
-  const std::size_t n = dedup_.size() * static_cast<std::size_t>(cfg_.lock_stripes);
+  const std::size_t n = dedup_.size() * kLockStripes;
   locks_.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
     locks_.push_back(std::make_unique<sim::Mutex>(cluster_.engine()));
@@ -248,7 +259,7 @@ void StoreService::start() {
   // entries every copy already agrees are invisible).
   cluster_.engine().spawn_fn([this]() -> sim::Task<void> {
     while (!rpc_.stopped()) {
-      co_await cluster_.engine().delay(cfg_.sweep_period);
+      co_await cluster_.engine().delay(kSweepPeriod);
       if (rpc_.stopped()) break;
       const std::uint64_t swept = kv_.sweep_expired();
       if (swept > 0) {
@@ -266,11 +277,8 @@ std::size_t StoreService::dedup_records() const {
 }
 
 sim::Mutex& StoreService::stripe_lock(int shard, std::string_view key) {
-  const auto stripe = static_cast<std::size_t>(
-      fnv1a(key) % static_cast<std::uint64_t>(cfg_.lock_stripes));
-  return *locks_[static_cast<std::size_t>(shard) *
-                     static_cast<std::size_t>(cfg_.lock_stripes) +
-                 stripe];
+  const auto stripe = static_cast<std::size_t>(fnv1a(key) % kLockStripes);
+  return *locks_[static_cast<std::size_t>(shard) * kLockStripes + stripe];
 }
 
 void StoreService::prune_dedup(int shard, std::uint64_t client,
@@ -289,7 +297,7 @@ void StoreService::prune_dedup(int shard, std::uint64_t client,
 
 sim::Task<Result<std::vector<std::uint8_t>>> StoreService::on_op(
     const tcsvc::RpcContext& ctx, std::span<const std::uint8_t> body) {
-  co_await cluster_.engine().delay(cfg_.op_compute);
+  co_await cluster_.engine().delay(kOpCompute);
   OpRequest req;
   if (!decode_op(body, req)) co_return malformed("op");
   const int shard = kv_.shard_map().shard_of(req.key);
@@ -472,7 +480,7 @@ sim::Task<Result<std::vector<std::uint8_t>>> StoreService::on_op(
 
 sim::Task<Result<std::vector<std::uint8_t>>> StoreService::on_replicate_op(
     const tcsvc::RpcContext&, std::span<const std::uint8_t> body) {
-  co_await cluster_.engine().delay(cfg_.op_compute);
+  co_await cluster_.engine().delay(kOpCompute);
   ReplicateOp rep;
   if (!decode_replicate_op(body, rep)) co_return malformed("replicate op");
   const int shard = kv_.shard_map().shard_of(rep.key);
@@ -535,7 +543,7 @@ sim::Task<Result<std::vector<std::uint8_t>>> StoreService::on_replicate_op(
 
 sim::Task<Result<std::vector<std::uint8_t>>> StoreService::on_scan(
     const tcsvc::RpcContext&, std::span<const std::uint8_t> body) {
-  co_await cluster_.engine().delay(cfg_.op_compute);
+  co_await cluster_.engine().delay(kOpCompute);
   Reader r{body};
   const int shard = static_cast<int>(r.get<std::uint32_t>());
   const auto max_bytes = r.get<std::uint32_t>();
@@ -551,7 +559,7 @@ sim::Task<Result<std::vector<std::uint8_t>>> StoreService::on_scan(
   // Reuse the migration export cursor: key order, bounded frame, expired
   // entries skipped. `done` once the shard is exhausted or the range ends.
   auto entries = kv_.export_shard(
-      shard, start, std::min(max_bytes, cfg_.scan_frame_bytes));
+      shard, start, std::min(max_bytes, kScanFrameBytes));
   bool done = entries.empty();
   if (!end.empty()) {
     const auto cut = std::find_if(entries.begin(), entries.end(),
@@ -642,8 +650,7 @@ void StoreService::reset_aux(int shard) {
 
 StoreClient::StoreClient(cluster::TcCluster& cluster, tcsvc::RpcNode& rpc,
                          tcsvc::ShardMap map, StoreConfig cfg)
-    : cfg_(cfg),
-      route_(cluster, rpc, std::move(map), cfg.op_deadline, cfg.attempt_deadline,
+    : route_(cluster, rpc, std::move(map), cfg.op_deadline, cfg.attempt_deadline,
              cfg.retry_backoff, stats_) {}
 
 sim::Task<Result<std::vector<std::uint8_t>>> StoreClient::run_op(
@@ -734,7 +741,7 @@ sim::Task<Result<std::vector<ScanEntry>>> StoreClient::scan_shard(
   for (;;) {
     std::vector<std::uint8_t> payload;
     put_u32(payload, static_cast<std::uint32_t>(shard));
-    put_u32(payload, cfg_.scan_frame_bytes);
+    put_u32(payload, kScanFrameBytes);
     put_u16(payload, static_cast<std::uint16_t>(cursor.size()));
     put_u16(payload, static_cast<std::uint16_t>(end_key.size()));
     put_bytes(payload, as_bytes(cursor));

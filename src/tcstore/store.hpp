@@ -79,20 +79,10 @@ struct StoreConfig {
   Picoseconds op_deadline = Picoseconds::from_us(500.0);
   /// Budget of a single attempt within an operation (see KvConfig).
   Picoseconds attempt_deadline = Picoseconds::from_us(60.0);
-  /// Modeled CPU service time of one RMW op (read + modify + write).
-  Picoseconds op_compute = Picoseconds::from_ns(350.0);
   /// Backoff between client retry attempts.
   Picoseconds retry_backoff = Picoseconds::from_us(2.0);
-  /// Period of the lazy-TTL backstop sweep (runs until RpcNode::stop()).
-  Picoseconds sweep_period = Picoseconds::from_us(50.0);
   /// Largest value an append may grow to (kResourceExhausted past it).
   std::uint32_t append_cap = 4096;
-  /// Key-level mutex stripes per shard: ops on the same stripe serialize
-  /// (read-modify-write atomicity + ordered replication), different stripes
-  /// of one shard proceed concurrently.
-  int lock_stripes = 4;
-  /// Payload budget per scan response frame.
-  std::uint32_t scan_frame_bytes = 1024;
 };
 
 /// Store-op counters. Admission rejects, failover serves and degraded acks
@@ -165,7 +155,7 @@ class StoreService : public tcsvc::ShardAuxStreamer {
   tcsvc::RpcNode& rpc_;
   tcsvc::KvService& kv_;
   StoreConfig cfg_;
-  /// (shard * lock_stripes + key stripe) -> mutex.
+  /// (shard * kLockStripes + key stripe) -> mutex.
   std::vector<std::unique_ptr<sim::Mutex>> locks_;
   /// shard -> (client, seq) -> executed-op record.
   std::vector<std::map<std::pair<std::uint64_t, std::uint64_t>, OpRecord>> dedup_;
@@ -257,7 +247,6 @@ class StoreClient {
       std::span<const std::uint8_t> value, Picoseconds ttl,
       std::optional<Picoseconds> deadline);
 
-  StoreConfig cfg_;
   std::uint64_t next_seq_ = 1;
   std::set<std::uint64_t> outstanding_;  ///< seqs without a final outcome
   StoreClientStats stats_;

@@ -185,16 +185,22 @@ std::vector<std::uint8_t> encode_version(std::uint64_t version) {
   std::memcpy(out.data(), &version, 8);
   return out;
 }
+
+/// Replication sub-call budget of puts and tcstore ops (must leave room for
+/// a client retry).
+constexpr Picoseconds kReplicateDeadline = Picoseconds::from_us(100.0);
+/// Modeled CPU service time per op (hash + lookup / store).
+constexpr Picoseconds kGetCompute = Picoseconds::from_ns(150.0);
+constexpr Picoseconds kPutCompute = Picoseconds::from_ns(300.0);
 }  // namespace
 
 // ------------------------------------------------------------- KvService --
 
 KvService::KvService(cluster::TcCluster& cluster, RpcNode& rpc, ShardMap map,
-                     KvConfig cfg)
+                     KvConfig /*cfg*/)
     : cluster_(cluster),
       rpc_(rpc),
       map_(std::move(map)),
-      cfg_(cfg),
       store_(static_cast<std::size_t>(map_.shards())),
       next_version_(static_cast<std::size_t>(map_.shards()), 0) {}
 
@@ -266,7 +272,7 @@ sim::Task<Status> KvService::replicate(int shard, Fanout& fanout,
     CallOptions opts;
     opts.channel = kReplicationChannel;
     opts.deadline =
-        std::min(deadline, cluster_.engine().now() + cfg_.replicate_deadline);
+        std::min(deadline, cluster_.engine().now() + kReplicateDeadline);
     return rpc_.call(target, fanout.method, frame, opts);
   };
   auto refuse_isolated = [] {
@@ -467,7 +473,7 @@ std::uint64_t KvService::version_of(std::string_view key) const {
 
 sim::Task<Result<std::vector<std::uint8_t>>> KvService::on_get(
     const RpcContext&, std::span<const std::uint8_t> body) {
-  co_await cluster_.engine().delay(cfg_.get_compute);
+  co_await cluster_.engine().delay(kGetCompute);
   const std::string_view key(reinterpret_cast<const char*>(body.data()),
                              body.size());
   const int shard = shard_map().shard_of(key);
@@ -489,7 +495,7 @@ sim::Task<Result<std::vector<std::uint8_t>>> KvService::on_get(
 
 sim::Task<Result<std::vector<std::uint8_t>>> KvService::on_put(
     const RpcContext& ctx, std::span<const std::uint8_t> body) {
-  co_await cluster_.engine().delay(cfg_.put_compute);
+  co_await cluster_.engine().delay(kPutCompute);
   std::string_view key;
   std::span<const std::uint8_t> value;
   if (!decode_put(body, key, value) || key.empty()) {
@@ -513,7 +519,7 @@ sim::Task<Result<std::vector<std::uint8_t>>> KvService::on_put(
 
 sim::Task<Result<std::vector<std::uint8_t>>> KvService::on_replicate(
     const RpcContext&, std::span<const std::uint8_t> body) {
-  co_await cluster_.engine().delay(cfg_.put_compute);
+  co_await cluster_.engine().delay(kPutCompute);
   std::string_view key;
   std::uint64_t version = 0;
   std::int64_t expires_at_ps = 0;

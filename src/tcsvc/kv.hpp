@@ -163,12 +163,6 @@ struct KvConfig {
   /// node that died mid-request times out after this and the retry loop
   /// reroutes, instead of one dead target eating the whole op budget.
   Picoseconds attempt_deadline = Picoseconds::from_us(60.0);
-  /// Replication sub-call budget of puts and tcstore ops (must leave room
-  /// for a client retry).
-  Picoseconds replicate_deadline = Picoseconds::from_us(100.0);
-  /// Modeled CPU service time per op (hash + lookup / store).
-  Picoseconds get_compute = Picoseconds::from_ns(150.0);
-  Picoseconds put_compute = Picoseconds::from_ns(300.0);
   /// Backoff between client retry attempts (lets a keepalive verdict or an
   /// epoch sync land instead of hammering a dying node).
   Picoseconds retry_backoff = Picoseconds::from_us(2.0);
@@ -193,6 +187,9 @@ struct KvStats {
 /// and serves every shard this node is acting primary or replica for.
 class KvService {
  public:
+  /// The service reads no KvConfig field: the map carries the shard count
+  /// and the rest are client budgets. `cfg` lets one config build both
+  /// sides.
   KvService(cluster::TcCluster& cluster, RpcNode& rpc, ShardMap map,
             KvConfig cfg = {});
 
@@ -329,7 +326,6 @@ class KvService {
   cluster::TcCluster& cluster_;
   RpcNode& rpc_;
   ShardMap map_;
-  KvConfig cfg_;
   MembershipAgent* membership_ = nullptr;
   /// shard -> ordered key map (std::map: deterministic iteration).
   std::vector<std::map<std::string, Entry, std::less<>>> store_;
