@@ -53,9 +53,8 @@ sim::Task<Status> Core::store_u64(PhysAddr addr, std::uint64_t value) {
   co_return co_await store(addr, buf);
 }
 
-sim::Task<Result<std::vector<std::uint8_t>>> Core::load(PhysAddr addr,
-                                                        std::uint32_t size) {
-  TCC_ASSERT(size <= 8, "a single load is at most 8 bytes");
+sim::Task<Status> Core::load(PhysAddr addr, std::span<std::uint8_t> out) {
+  TCC_ASSERT(out.size() <= 8, "a single load is at most 8 bytes");
   ++loads_;
   co_await engine_.delay(kLoadIssue);
   switch (mtrr_.type_of(addr)) {
@@ -65,24 +64,24 @@ sim::Task<Result<std::vector<std::uint8_t>>> Core::load(PhysAddr addr,
                              name_ + ": WB load outside local DRAM");
       }
       co_await engine_.delay(kCacheHitLatency);
-      std::vector<std::uint8_t> out(size);
       nb_.mc().peek(addr, out);
-      co_return out;
+      co_return Status{};
     }
     case MemType::kWriteCombining:
     case MemType::kUncacheable:
       // Both are uncached on the load side; the northbridge enforces the
       // write-only rule for TCCluster apertures.
-      co_return co_await nb_.core_read(addr, size);
+      co_return co_await nb_.core_read(addr, out);
   }
   co_return make_error(ErrorCode::kInvalidArgument, "unknown memory type");
 }
 
 sim::Task<Result<std::uint64_t>> Core::load_u64(PhysAddr addr) {
-  auto r = co_await load(addr, 8);
-  if (!r.ok()) co_return r.error();
+  std::uint8_t buf[8] = {};
+  Status s = co_await load(addr, buf);
+  if (!s.ok()) co_return s.error();
   std::uint64_t v = 0;
-  std::memcpy(&v, r.value().data(), 8);
+  std::memcpy(&v, buf, 8);
   co_return v;
 }
 
@@ -92,9 +91,8 @@ sim::Task<Status> Core::load_bytes(PhysAddr addr, std::span<std::uint8_t> out) {
     const std::uint64_t a = addr.value() + done;
     std::size_t chunk = 8 - (a % 8);
     chunk = std::min(chunk, out.size() - done);
-    auto r = co_await load(PhysAddr{a}, static_cast<std::uint32_t>(chunk));
-    if (!r.ok()) co_return r.error();
-    std::memcpy(out.data() + done, r.value().data(), chunk);
+    Status s = co_await load(PhysAddr{a}, out.subspan(done, chunk));
+    if (!s.ok()) co_return s;
     done += chunk;
   }
   co_return Status{};

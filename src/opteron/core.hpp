@@ -10,7 +10,6 @@
 #include <cstdint>
 #include <span>
 #include <string>
-#include <vector>
 
 #include "common/error.hpp"
 #include "common/units.hpp"
@@ -55,10 +54,10 @@ class Core {
 
   [[nodiscard]] sim::Task<Status> store_u64(PhysAddr addr, std::uint64_t value);
 
-  /// Load up to 8 bytes. Loads from WC/TCCluster apertures are rejected —
-  /// the network is write-only (§IV.A).
-  [[nodiscard]] sim::Task<Result<std::vector<std::uint8_t>>> load(PhysAddr addr,
-                                                                  std::uint32_t size);
+  /// Load up to 8 bytes (one machine load) into `out`, which the caller
+  /// keeps alive until the load completes. Loads from WC/TCCluster apertures
+  /// are rejected — the network is write-only (§IV.A).
+  [[nodiscard]] sim::Task<Status> load(PhysAddr addr, std::span<std::uint8_t> out);
 
   [[nodiscard]] sim::Task<Result<std::uint64_t>> load_u64(PhysAddr addr);
 

@@ -1,5 +1,6 @@
 #include "opteron/northbridge.hpp"
 
+#include <algorithm>
 #include <utility>
 
 #include "common/log.hpp"
@@ -170,15 +171,13 @@ sim::Task<Status> Northbridge::dispatch(Route route, ht::Packet packet, Ingress 
   }
 }
 
-sim::Task<Result<std::vector<std::uint8_t>>> Northbridge::core_read(PhysAddr addr,
-                                                                    std::uint32_t size) {
+sim::Task<Status> Northbridge::core_read(PhysAddr addr, std::span<std::uint8_t> out) {
   co_await engine_.delay(kNbLookup);
   const Route route = route_request(addr);
   switch (route.kind) {
     case Route::Kind::kLocalMemory: {
-      std::vector<std::uint8_t> out(size);
       co_await mc_.timed_read(addr, out);
-      co_return out;
+      co_return Status{};
     }
     case Route::Kind::kLink: {
       const bool is_tcc = (regs_.tccluster_links >> route.link) & 1u;
@@ -194,7 +193,7 @@ sim::Task<Result<std::vector<std::uint8_t>>> Northbridge::core_read(PhysAddr add
       }
       const int tag = co_await alloc_tag();
       ht::Packet rd = ht::Packet::sized_read(
-          addr, size,
+          addr, static_cast<std::uint32_t>(out.size()),
           {static_cast<std::uint8_t>(regs_.node_id), 0, static_cast<std::uint8_t>(tag)});
       rd.coherent =
           links_[static_cast<std::size_t>(route.link)]->regs().kind == ht::LinkKind::kCoherent;
@@ -203,9 +202,10 @@ sim::Task<Result<std::vector<std::uint8_t>>> Northbridge::core_read(PhysAddr add
       while (!p.done) {
         co_await p.ready->wait();
       }
-      std::vector<std::uint8_t> data = std::move(p.data);
+      TCC_ASSERT(p.data.size() == out.size(), "read response size differs from the request");
+      std::copy(p.data.begin(), p.data.end(), out.begin());
       free_tag(tag);
-      co_return data;
+      co_return Status{};
     }
     case Route::Kind::kMasterAbort:
     default:

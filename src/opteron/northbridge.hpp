@@ -15,6 +15,7 @@
 #include <functional>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -62,11 +63,11 @@ class Northbridge {
   /// config error if the address matches no enabled range.
   [[nodiscard]] sim::Task<Status> core_posted_write(ht::Packet packet);
 
-  /// Uncacheable read from a core: local DRAM reads go to the memory
-  /// controller; reads into MMIO space become tagged non-posted requests.
-  /// Reads into TCCluster MMIO are rejected (write-only network, §IV.A).
-  [[nodiscard]] sim::Task<Result<std::vector<std::uint8_t>>> core_read(
-      PhysAddr addr, std::uint32_t size);
+  /// Uncacheable read of `out.size()` (at most 8) bytes from a core into
+  /// `out`: local DRAM reads go to the memory controller; reads into MMIO
+  /// space become tagged non-posted requests. Reads into TCCluster MMIO are
+  /// rejected (write-only network, §IV.A).
+  [[nodiscard]] sim::Task<Status> core_read(PhysAddr addr, std::span<std::uint8_t> out);
 
   /// Suspend until every outbound queue this core filled has drained into
   /// the link TX FIFOs. Part of the Sfence contract.

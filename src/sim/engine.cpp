@@ -82,6 +82,44 @@ EngineMetrics& engine_metrics() {
 }  // namespace
 #endif  // TCC_TELEMETRY_ENABLED
 
+// ---------------------------------------------------------------------------
+// Coroutine frame freelists (fast paths inline in sim/task.hpp)
+// ---------------------------------------------------------------------------
+
+namespace detail {
+namespace {
+
+// Destroyed at thread exit: hands every parked frame back to the heap and
+// closes the lists, so the pool holds nothing a leak checker could report.
+struct FrameDrain {
+  FrameDrain() = default;
+  FrameDrain(const FrameDrain&) = delete;
+  FrameDrain& operator=(const FrameDrain&) = delete;
+  ~FrameDrain() {
+    FrameFreelists& fl = frame_freelists;
+    fl.state = FrameFreelists::State::kClosed;
+    for (std::size_t cls = 0; cls < kFrameClasses; ++cls) {
+      while (void* p = fl.head[cls]) {
+        ASAN_UNPOISON_MEMORY_REGION(p, (cls + 1) * kFrameGrain);
+        fl.head[cls] = *static_cast<void**>(p);
+        ::operator delete(p);
+      }
+    }
+  }
+};
+
+}  // namespace
+
+void* new_frame(std::size_t cls) {
+  if (frame_freelists.state == FrameFreelists::State::kUnarmed) {
+    thread_local FrameDrain drain;  // registers the thread-exit drain
+    frame_freelists.state = FrameFreelists::State::kArmed;
+  }
+  return ::operator new((cls + 1) * kFrameGrain);
+}
+
+}  // namespace detail
+
 void DelayAwaiter::await_suspend(std::coroutine_handle<> h) {
   engine_.schedule_resume(duration_, h);
 }
@@ -213,6 +251,8 @@ void Engine::do_cancel(EventNode* n) {
 void Engine::spawn(Task<void> task) {
   auto handle = task.release();
   TCC_ASSERT(handle != nullptr, "spawn of an empty task");
+  handle.promise().owner = this;
+  handle.promise().process_slot = processes_.size();
   processes_.push_back(handle);
   TCC_METRIC(engine_metrics().spawns.inc());
   // Start the process as an event so that spawning inside a running process
@@ -640,25 +680,42 @@ bool Engine::all_processes_done() const {
 }
 
 void Engine::reap_finished() {
-  for (auto& h : processes_) {
-    if (h && h.done()) {
-      auto& p = h.promise();
-      if (p.exception) std::rethrow_exception(p.exception);
-      h.destroy();
-      h = nullptr;
-    }
+  // Visits only the processes whose final awaiter reported in: the cost is
+  // per finished process, not per live one.
+  std::exception_ptr failure;
+  for (const ProcessHandle h : finished_) {
+    processes_[h.promise().process_slot] = nullptr;
+    ++vacant_slots_;
+    if (!failure) failure = h.promise().exception;
+    h.destroy();
   }
-  std::erase(processes_, nullptr);
+  finished_.clear();
+  if (2 * vacant_slots_ > processes_.size()) {
+    std::erase(processes_, nullptr);
+    for (std::size_t i = 0; i < processes_.size(); ++i) processes_[i].promise().process_slot = i;
+    vacant_slots_ = 0;
+  }
+  if (failure) std::rethrow_exception(failure);
 }
+
+namespace detail {
+
+void note_finished(Engine& engine, std::coroutine_handle<> h) {
+  engine.finished_.push_back(Engine::ProcessHandle::from_address(h.address()));
+}
+
+}  // namespace detail
 
 void Trigger::notify() {
   // Move the waiter list out first: a resumed process may immediately wait
-  // again, and that wait belongs to the *next* notification.
-  std::vector<std::coroutine_handle<>> to_wake;
-  to_wake.swap(waiters_);
-  for (auto h : to_wake) {
+  // again, and that wait belongs to the *next* notification. Swapping with a
+  // member scratch list (emptied again below) keeps both lists' capacity, so
+  // a steady wait/notify cycle never reallocates.
+  waking_.swap(waiters_);
+  for (auto h : waking_) {
     engine_.schedule_resume(Picoseconds::zero(), h);
   }
+  waking_.clear();
 }
 
 }  // namespace tcc::sim

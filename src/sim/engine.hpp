@@ -9,9 +9,11 @@
 //  * Scheduler::kCalendar (default) — a calendar queue: an array of
 //    power-of-two-width time buckets covering a sliding window, an overflow
 //    min-heap for events beyond the window, a FIFO fast path for zero-delay
-//    events, slab-recycled event nodes with an inline small-buffer callable
-//    (no per-event heap allocation), handle-based cancellable timers, and
-//    O(1) skip-ahead to the next occupied bucket when the sim goes idle.
+//    events, slab-recycled event nodes with an inline small-buffer callable,
+//    handle-based cancellable timers, and O(1) skip-ahead to the next
+//    occupied bucket when the sim goes idle. With coroutine frames recycled
+//    by sim/task.hpp and Trigger wake lists reused, the steady-state hot path
+//    makes no per-event heap allocation.
 //
 //  * Scheduler::kHeapReference — the pre-calendar implementation kept
 //    byte-for-byte faithful (global std::priority_queue of std::function
@@ -161,7 +163,8 @@ class Engine {
   bool wake(TimerHandle& h);
 
   /// Launch a top-level simulated process. The engine owns the coroutine
-  /// frame until it completes; completed frames are reclaimed during run().
+  /// frame until it completes; completed frames are reclaimed during run(),
+  /// and an exception that escaped a process is rethrown from run().
   ///
   /// CAUTION: do not pass the result of invoking a capturing lambda
   /// coroutine — the lambda object dies at the end of the full expression
@@ -216,6 +219,7 @@ class Engine {
 
  private:
   friend class SleepAwaiter;
+  friend void detail::note_finished(Engine& engine, std::coroutine_handle<> h);
 
   template <typename F>
   static Task<void> invoke_owned(F fn) {
@@ -324,7 +328,13 @@ class Engine {
 
   std::priority_queue<RefEvent, std::vector<RefEvent>, RefEventOrder> ref_queue_;
 
-  std::vector<std::coroutine_handle<detail::Promise<void>>> processes_;
+  // Live processes in spawn order; a reaped process leaves a null slot that
+  // compaction removes once slots outnumber live processes. finished_ holds
+  // the processes that completed since the last reap, in completion order.
+  using ProcessHandle = std::coroutine_handle<detail::Promise<void>>;
+  std::vector<ProcessHandle> processes_;
+  std::size_t vacant_slots_ = 0;
+  std::vector<ProcessHandle> finished_;
 };
 
 /// A broadcast notification processes can wait on (akin to a SystemC event).
@@ -358,6 +368,7 @@ class Trigger {
  private:
   Engine& engine_;
   std::vector<std::coroutine_handle<>> waiters_;
+  std::vector<std::coroutine_handle<>> waking_;  // notify()'s scratch; keeps its capacity
 };
 
 /// Unbounded typed FIFO between simulated processes; pop() suspends while

@@ -6,10 +6,23 @@
 // Task<T> supports composition — awaiting a child Task suspends the parent
 // until the child co_returns — via symmetric transfer, so arbitrarily deep
 // call chains cost no stack.
+//
+// Coroutine frames are recycled: every Task frame is allocated through
+// PromiseBase's class-level operator new, which serves it from a per-thread
+// freelist of its 16-byte size class. A memory operation, a link pump step
+// or a message-library call each creates a frame or two, so this keeps the
+// steady-state hot path free of malloc/free (see docs/SIMULATOR.md, "Host
+// cost per event"). Frames parked on a freelist are ASan-poisoned, so a use
+// after destroy is still reported.
 #pragma once
 
+#include <sanitizer/asan_interface.h>
+
 #include <coroutine>
+#include <cstddef>
+#include <cstdint>
 #include <exception>
+#include <new>
 #include <optional>
 #include <utility>
 
@@ -17,14 +30,62 @@
 
 namespace tcc::sim {
 
+class Engine;
+
 template <typename T>
 class Task;
 
 namespace detail {
 
+inline constexpr std::size_t kFrameGrain = 16;
+/// Frames larger than this bypass the freelists (none on the hot path do).
+inline constexpr std::size_t kFrameCap = 2048;
+inline constexpr std::size_t kFrameClasses = kFrameCap / kFrameGrain;
+
+/// Per-thread frame freelists. Trivially destructible with a constant
+/// initializer, so access needs no guard. The first fresh frame arms a
+/// thread-exit hook (engine.cpp) that returns the parked frames to the heap
+/// and closes the lists; while the lists are not armed, a released frame goes
+/// straight to ::operator delete. That covers frames freed by static
+/// destructors, which run after thread-exit hooks.
+struct FrameFreelists {
+  enum class State : std::uint8_t { kUnarmed, kArmed, kClosed };
+  void* head[kFrameClasses];  ///< class c holds (c + 1) * kFrameGrain-byte frames
+  State state;
+};
+inline thread_local constinit FrameFreelists frame_freelists{};
+
+/// Slow path, out of line in engine.cpp: a fresh frame for an empty class.
+void* new_frame(std::size_t cls);
+
+/// A top-level process ran to completion: queue its frame for reaping.
+void note_finished(Engine& engine, std::coroutine_handle<> h);
+
 struct PromiseBase {
   std::coroutine_handle<> continuation;  // resumed when this coroutine finishes
   std::exception_ptr exception;
+  Engine* owner = nullptr;       // set by Engine::spawn on top-level processes
+  std::size_t process_slot = 0;  // this process's index in the owner's table
+
+  static void* operator new(std::size_t n) {
+    if (n > kFrameCap) return ::operator new(n);
+    const std::size_t cls = (n - 1) / kFrameGrain;
+    void* p = frame_freelists.head[cls];
+    if (p == nullptr) return new_frame(cls);
+    ASAN_UNPOISON_MEMORY_REGION(p, (cls + 1) * kFrameGrain);
+    frame_freelists.head[cls] = *static_cast<void**>(p);
+    return p;
+  }
+  static void operator delete(void* p, std::size_t n) noexcept {
+    if (n > kFrameCap || frame_freelists.state != FrameFreelists::State::kArmed) {
+      ::operator delete(p);
+      return;
+    }
+    const std::size_t cls = (n - 1) / kFrameGrain;
+    *static_cast<void**>(p) = frame_freelists.head[cls];
+    frame_freelists.head[cls] = p;
+    ASAN_POISON_MEMORY_REGION(p, (cls + 1) * kFrameGrain);
+  }
 
   std::suspend_always initial_suspend() noexcept { return {}; }
 
@@ -33,7 +94,9 @@ struct PromiseBase {
     template <typename Promise>
     std::coroutine_handle<> await_suspend(std::coroutine_handle<Promise> h) noexcept {
       auto& p = h.promise();
-      return p.continuation ? p.continuation : std::noop_coroutine();
+      if (p.continuation) return p.continuation;
+      if (p.owner != nullptr) note_finished(*p.owner, h);
+      return std::noop_coroutine();
     }
     void await_resume() noexcept {}
   };
