@@ -217,7 +217,8 @@ int main(int argc, char** argv) {
                 "                        network cannot route read responses, §IV.A)\n",
                 remote_get_us);
     std::printf("  fetch_add:  %8.3f us (served atomically by the owner)\n", fadd_us);
-    std::printf("  remote put: %8.3f us (one-sided store, fire-and-forget)\n", put_us);
+    std::printf("  remote put: %8.3f us (response-less active message over tcrel)\n",
+                put_us);
   }
 
   report.write(flag_value(argc, argv, "--bench-out="));

@@ -8,6 +8,10 @@
 namespace tcc::middleware {
 
 namespace {
+/// The core of each chip that runs the service loop (the application owns
+/// core 0).
+constexpr int kServiceCore = 1;
+
 /// Idle backoff of the service loop between poll sweeps.
 constexpr Picoseconds kServiceIdleBackoff = Picoseconds::from_ns(200.0);
 
@@ -24,17 +28,10 @@ std::array<std::uint8_t, kAmFrame> encode_am(AmOp op, std::uint64_t offset,
 }
 }  // namespace
 
-PgasRuntime::PgasRuntime(cluster::TcCluster& cluster, int rank, int service_core,
-                         PutMode put_mode)
-    : cluster_(cluster),
-      rank_(rank),
-      size_(cluster.num_nodes()),
-      service_core_(service_core),
-      comm_(cluster, rank),
-      put_mode_(put_mode) {
+PgasRuntime::PgasRuntime(cluster::TcCluster& cluster, int rank)
+    : cluster_(cluster), rank_(rank), size_(cluster.num_nodes()), comm_(cluster, rank) {
   service_lib_ = std::make_unique<cluster::ReliableLibrary>(
-      cluster_.driver(rank_), cluster_.core(rank_, service_core_),
-      cluster_.rel_config());
+      cluster_.driver(rank_), cluster_.core(rank_, kServiceCore), cluster_.rel_config());
   atomics_ = std::make_unique<sim::Mutex>(cluster_.engine());
 }
 
@@ -73,7 +70,7 @@ sim::Task<Result<std::uint64_t>> PgasRuntime::local_op(AmOp op, std::uint64_t of
 }
 
 sim::Task<void> PgasRuntime::service_loop() {
-  opteron::Core& core = cluster_.core(rank_, service_core_);
+  opteron::Core& core = cluster_.core(rank_, kServiceCore);
   for (;;) {
     bool did_work = false;
     for (int peer = 0; peer < size_; ++peer) {
@@ -130,9 +127,9 @@ sim::Task<Status> PgasRuntime::barrier() {
     Status s = co_await ep->flush();
     if (!s.ok()) co_return s;
   }
-  // Strict-consistency point (§IV.A): Sfence orders the relaxed direct puts
-  // into the posted channel, then ranks synchronize with messages — every
-  // put issued before the barrier is visible after it (same VC, in order).
+  // Strict-consistency point (§IV.A): Sfence drains the relaxed local puts
+  // (combining stores), then ranks synchronize with messages — every put
+  // issued before the barrier is visible after it.
   Status s = co_await cluster_.core(rank_, 0).sfence();
   if (!s.ok()) co_return s;
   co_return co_await comm_.barrier();
@@ -188,16 +185,15 @@ std::pair<int, std::uint64_t> GlobalArray::locate(std::uint64_t index) const {
 sim::Task<Status> GlobalArray::put(std::uint64_t index, std::uint64_t value) {
   const auto [owner, offset] = locate(index);
   cluster::TcCluster& cl = rt_->cluster();
-  if (owner == rt_->rank() || rt_->put_mode() == PutMode::kDirect) {
+  if (owner == rt_->rank()) {
     const PhysAddr addr = cl.driver(rt_->rank()).shared_region(owner).base + offset;
     // Relaxed consistency: a plain (combining) store; a later fence/barrier
-    // orders it. Local and remote paths are the same store instruction — only
-    // the MTRR type differs, exactly as in the real system.
+    // orders it.
     co_return co_await cl.core(rt_->rank(), 0).store_u64(addr, value);
   }
-  // PutMode::kReliable: a response-less active message the owner's service
-  // loop applies; still relaxed (completion = accepted into the retransmit
-  // window), made globally visible by barrier()'s request-channel flush.
+  // A response-less active message the owner's service loop applies; still
+  // relaxed (completion = accepted into the retransmit window), made
+  // globally visible by barrier()'s request-channel flush.
   auto req_ep = cl.rel(rt_->rank()).connect(owner, cluster::RingChannel::kPgasRequest);
   if (!req_ep.ok()) co_return req_ep.error();
   const auto frame = encode_am(AmOp::kPut, offset, value);

@@ -2,20 +2,18 @@
 // "TCCluster is compatible with PGAS implementations like UPC over GASNet").
 //
 // The write-only network shapes the design, exactly as §IV.A predicts:
-//  * put = PutMode::kDirect is a direct remote store into the owner's shared
-//    region (relaxed consistency; a fence/barrier makes it globally ordered,
-//    but a store lost to a link fault is lost silently). The default
-//    PutMode::kReliable ships the put as a response-less active message over
-//    tcrel instead: sequenced, retransmitted and duplicate-suppressed, and
-//    barrier() flushes the request channels so every pre-barrier put is
-//    applied-or-replayed before ranks synchronize,
+//  * put = a response-less active message over tcrel to the owner's service
+//    loop: sequenced, retransmitted and duplicate-suppressed, and barrier()
+//    flushes the request channels so every pre-barrier put is
+//    applied-or-replayed before ranks synchronize (relaxed consistency in
+//    between). A put to a local element is a plain store,
 //  * get = CANNOT be a remote load — responses are unroutable (§IV.A). It is
 //    an active message instead: a request message to the owner, whose
 //    service loop replies with a data message. This costs a full round trip,
 //    which the pgas ablation quantifies.
 //
-// Each node runs a service loop (usually on core 1, leaving core 0 to the
-// application) that answers get requests until the runtime is shut down by a
+// Each node runs a service loop on core 1, leaving core 0 to the
+// application, that answers get requests until the runtime is shut down by a
 // collective finalize().
 #pragma once
 
@@ -38,22 +36,13 @@ enum class AmOp : std::uint8_t {
   kPut = 3,       ///< *addr = operand; NO response (reliable relaxed put)
 };
 
-/// How GlobalArray::put reaches a remote owner.
-enum class PutMode {
-  kDirect,    ///< raw remote store: lowest latency, lost on a link fault
-  kReliable,  ///< response-less AM over tcrel: survives faults (default)
-};
-
 /// A block-distributed array of u64 over all nodes, living in each node's
 /// shared (uncacheable, remotely writable) region.
 class GlobalArray;
 
 class PgasRuntime {
  public:
-  /// `service_core`: which core of the local chip runs the get-request
-  /// service loop (core 1 by default; the application owns core 0).
-  PgasRuntime(cluster::TcCluster& cluster, int rank, int service_core = 1,
-              PutMode put_mode = PutMode::kReliable);
+  PgasRuntime(cluster::TcCluster& cluster, int rank);
 
   PgasRuntime(const PgasRuntime&) = delete;
   PgasRuntime& operator=(const PgasRuntime&) = delete;
@@ -79,7 +68,6 @@ class PgasRuntime {
   [[nodiscard]] sim::Task<Status> barrier();
 
   [[nodiscard]] std::uint64_t gets_served() const { return gets_served_; }
-  [[nodiscard]] PutMode put_mode() const { return put_mode_; }
 
  private:
   friend class GlobalArray;
@@ -101,9 +89,7 @@ class PgasRuntime {
   cluster::TcCluster& cluster_;
   int rank_;
   int size_;
-  int service_core_;
   Communicator comm_;
-  PutMode put_mode_;
   std::unique_ptr<cluster::ReliableLibrary> service_lib_;  // bound to service core
   std::unique_ptr<sim::Mutex> atomics_;                    // AM-vs-local atomicity
   std::uint64_t heap_cursor_ = 0;  // symmetric allocation offset (bytes)
